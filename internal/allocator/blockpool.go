@@ -82,6 +82,9 @@ func NewBlockPool(dev *Device, blockBytes int64, capBlocks int) *BlockPool {
 	return &BlockPool{dev: dev, blockBytes: blockBytes, capBlocks: capBlocks}
 }
 
+// Device returns the device the pool's blocks are carved from.
+func (p *BlockPool) Device() *Device { return p.dev }
+
 // BlockBytes returns the fixed size of every block.
 func (p *BlockPool) BlockBytes() int64 { return p.blockBytes }
 

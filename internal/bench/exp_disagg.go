@@ -93,7 +93,11 @@ func newDisaggReplica(p disaggParams) (*serving.Server, *core.GenEngine, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	gen, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 7, Classes: 4})
+	// The KV pool holds every decode slot's worst-case block tables, so the
+	// decode loop never has to preempt for lack of blocks.
+	const genMaxBatch = 8
+	blocks := genMaxBatch * 2 * p.layers * ((p.genMaxNew + model.KVChunkTokens - 1) / model.KVChunkTokens)
+	gen, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 7, Classes: 4, PagedKVBlocks: blocks})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -103,7 +107,7 @@ func newDisaggReplica(p disaggParams) (*serving.Server, *core.GenEngine, error) 
 		Scheduler:        &sched.DPScheduler{Cost: cost, MaxBatch: 8},
 		MaxBatch:         8,
 		GenEngine:        gen,
-		GenMaxBatch:      8,
+		GenMaxBatch:      genMaxBatch,
 		GenDefaultMaxNew: p.genMaxNew,
 	})
 	if err != nil {
@@ -171,9 +175,11 @@ func measureDisagg(p disaggParams, roles []serving.ReplicaRole, fit *sched.Token
 		res := replayDisaggTrace(router.Handler(), trace, p.genMaxNew)
 
 		// Post-drain audit: the aggregate migrated-bytes counter must
-		// reconcile with the per-replica in/out counters, and every
-		// replica's KV gauges must be back to zero — a migration that
-		// leaked a reservation on either side shows up here.
+		// reconcile with the per-replica in/out counters, and once the
+		// router is stopped and each engine's prefix cache and pool are
+		// closed, every replica's KV gauges must be back to zero — a
+		// migration that leaked a reservation on either side shows up here
+		// (a block still held panics the pool's Close).
 		stats := router.Stats()
 		total.migrations += stats.KVMigrations
 		total.migratedBytes += stats.KVMigratedBytes
@@ -183,11 +189,12 @@ func measureDisagg(p disaggParams, roles []serving.ReplicaRole, fit *sched.Token
 			out += r.KVMigratedOutBytes
 		}
 		total.inOutDelta += in - out
+		router.Close()
 		for _, g := range engines {
+			g.Close()
 			snap := g.MemoryStats()
 			total.leakBytes += snap.KVReservedBytes + snap.KVUsedBytes
 		}
-		router.Close()
 		total.shorts = append(total.shorts, res.shorts...)
 		total.gens = append(total.gens, res.gens...)
 		total.failed += res.failed

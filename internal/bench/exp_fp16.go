@@ -39,12 +39,12 @@ func defaultFP16PathParams() fp16PathParams {
 // fp32, …) so host noise hits both alike; returns best-of-reps per-token
 // seconds for each, plus the fp16 engine's fused-launch count.
 func fp16DecodeMeasure(p genDecodeParams, batch int) (fp32Tok, fp16Tok float64, fused int64, err error) {
-	m32, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17})
+	m32, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17}, false)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer m32.close()
-	m16, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17, FP16: true})
+	m16, err := newGenDecodeModeOpts(p, batch, core.Options{Seed: 17, FP16: true}, false)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -206,12 +206,12 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 
 	// --- 2. Oracle: fp16 grouped vs per-row token streams ---------------
 	bigBatch := p.batches[len(p.batches)-1]
-	mg, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true})
+	mg, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true}, false)
 	if err != nil {
 		return err
 	}
 	defer mg.close()
-	mo, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true, PerRowDecode: true})
+	mo, err := newGenDecodeModeOpts(p, bigBatch, core.Options{Seed: 17, FP16: true}, true)
 	if err != nil {
 		return err
 	}
@@ -270,7 +270,7 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 	blockBytes := int64(model.KVChunkTokens) * int64(decCfg.Hidden) * 4
 	depth := 2 * model.KVChunkTokens
 	capBlocks := 4 * 2 * decCfg.Layers * 2 // room for 4 fp32 sessions at this depth
-	countSessions := func(mk func(*allocator.BlockPool, int, int) (*model.BlockKVCache, error)) (n, blockTok int, err error) {
+	countSessions := func(half bool) (n, blockTok int, err error) {
 		pool := allocator.NewBlockPool(dev, blockBytes, capBlocks)
 		defer pool.Close()
 		var caches []*model.BlockKVCache
@@ -281,7 +281,7 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 		}()
 		row := make([]float32, decCfg.Hidden)
 		for {
-			c, err := mk(pool, decCfg.Layers, decCfg.Hidden)
+			c, err := model.NewBlockKVCache(pool, decCfg.Layers, decCfg.Hidden, half)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -305,11 +305,11 @@ func runFP16PathWith(w io.Writer, fp fp16PathParams) error {
 			n++
 		}
 	}
-	n32, tok32, err := countSessions(model.NewBlockKVCache)
+	n32, tok32, err := countSessions(false)
 	if err != nil {
 		return err
 	}
-	n16, tok16, err := countSessions(model.NewBlockKVCacheF16)
+	n16, tok16, err := countSessions(true)
 	if err != nil {
 		return err
 	}

@@ -62,18 +62,22 @@ type genDecodeMode struct {
 }
 
 func newGenDecodeMode(p genDecodeParams, batch int, perRow bool) (*genDecodeMode, error) {
-	return newGenDecodeModeOpts(p, batch, core.Options{Seed: 17, PerRowDecode: perRow})
+	return newGenDecodeModeOpts(p, batch, core.Options{Seed: 17}, perRow)
 }
 
 // newGenDecodeModeOpts is the generalised constructor: the fp16-path
 // experiment reuses the same constant-occupancy decode loop under
-// different engine options (FP16 on/off, per-row oracle).
-func newGenDecodeModeOpts(p genDecodeParams, batch int, opts core.Options) (*genDecodeMode, error) {
+// different engine options (FP16 on/off) and attention (grouped or the
+// per-row oracle). The KV pool holds every session's worst-case block
+// tables, so a step never runs the pool dry.
+func newGenDecodeModeOpts(p genDecodeParams, batch int, opts core.Options, perRow bool) (*genDecodeMode, error) {
 	encCfg, decCfg := genDecodeConfigs(p)
+	opts.PagedKVBlocks = batch * 2 * decCfg.Layers * ((decCfg.MaxTargetLen + model.KVChunkTokens - 1) / model.KVChunkTokens)
 	engine, err := core.NewGenEngine(encCfg, decCfg, opts)
 	if err != nil {
 		return nil, err
 	}
+	engine.Generator.PerRowAttention = perRow
 	m := &genDecodeMode{p: p, engine: engine, decCfg: decCfg, rng: rand.New(rand.NewSource(53))}
 	// Initial fill: one packed prefill pass for the whole batch.
 	ids := make([]int64, batch)
@@ -127,6 +131,7 @@ func (m *genDecodeMode) close() {
 	for _, s := range m.live {
 		s.Close()
 	}
+	m.engine.Close()
 }
 
 // genDecodeMeasure runs both modes at one batch size with their timed reps

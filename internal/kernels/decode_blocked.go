@@ -6,28 +6,29 @@ import (
 	"repro/internal/blas"
 )
 
-// Paged (block-table) variants of the grouped decode-attention primitives.
-// A paged KV cache stores a session's context as fixed-size blocks of
-// blockTokens rows rather than one contiguous [T, hidden] region, so the
-// decode kernels read THROUGH the block table: session i's keys arrive as
-// keyBlocks[i] — ceil(T/blockTokens) slices of [≤blockTokens, hidden] rows
-// — and no gather copy ever materialises the contiguous layout.
+// Block-table decode attention. A paged KV cache stores a session's
+// context as fixed-size blocks of blockTokens rows rather than one
+// contiguous [T, hidden] region, so the decode kernels read THROUGH the
+// block table: session i's keys arrive as keyBlocks[i] — ceil(T/blockTokens)
+// slices of [≤blockTokens, hidden] rows — and no gather copy ever
+// materialises a contiguous layout. A context that fits one block (the
+// cross-attention memory, passed with blockTokens = the batch's widest
+// prompt) runs exactly one group per session, the contiguous kernel.
 //
-// Bit-identity with the contiguous path is by construction, not by
+// Results do not depend on the block size, by construction rather than by
 // tolerance:
 //
 //   - Scores (q·Kᵀ) reduces over headDim, which blocks never split — paging
 //     only partitions the output columns, so every score element runs the
-//     exact contiguous dot product.
+//     same dot product whatever the block size.
 //   - Context (scores·V) reduces over the context length, which paging DOES
 //     split — so blocks are applied in ascending rounds with beta=1
 //     continuation, and the underlying gemmNN accumulates into C with one
 //     multiply-add per element in strictly ascending k order. Round r
 //     therefore resumes the exact FP accumulation sequence round r-1 left
-//     off: the summation order is bit-for-bit the contiguous kernel's.
+//     off: the summation order is bit-for-bit the single-block kernel's.
 //
-// The softmax between them operates on the (always contiguous) score rows
-// and is shared with the non-paged path unchanged.
+// The softmax between them operates on the (always contiguous) score rows.
 
 // blockRows returns the number of rows block b of a T-row context holds.
 func blockRows(T, blockTokens, b int) int {
@@ -43,9 +44,9 @@ func numBlocks(T, blockTokens int) int {
 	return (T + blockTokens - 1) / blockTokens
 }
 
-// checkBlockTable validates one session's block list against its context
-// length.
-func checkBlockTable(name string, blocks [][]float32, T, blockTokens, hidden, session int) {
+// checkBlockTable validates one session's block list (fp32 or binary16
+// blocks) against its context length.
+func checkBlockTable[B ~[]E, E any](name string, blocks []B, T, blockTokens, hidden, session int) {
 	nb := numBlocks(T, blockTokens)
 	if len(blocks) < nb {
 		panic(fmt.Sprintf("kernels: %s session %d has %d blocks for %d rows (block %d)",
@@ -53,7 +54,7 @@ func checkBlockTable(name string, blocks [][]float32, T, blockTokens, hidden, se
 	}
 	for b := 0; b < nb; b++ {
 		if need := blockRows(T, blockTokens, b) * hidden; len(blocks[b]) < need {
-			panic(fmt.Sprintf("kernels: %s session %d block %d has %d floats, need %d",
+			panic(fmt.Sprintf("kernels: %s session %d block %d has %d elements, need %d",
 				name, session, b, len(blocks[b]), need))
 		}
 	}
@@ -102,8 +103,8 @@ func (ws *DecodeWorkspace) ScoresBlocked(q []float32, keyBlocks [][][]float32, c
 // ContextBlocked folds the softmaxed scores back through each session's
 // paged values. Blocks are applied in ascending rounds — round 0 with
 // beta=0 (zeroing ctx), later rounds with beta=1 — so every (session,
-// head) output accumulates its context in exactly the contiguous kernel's
-// ascending order (see the package comment above for why that is
+// head) output accumulates its context in exactly the single-block
+// kernel's ascending order (see the comment above for why that is
 // bit-identical, not merely close).
 func (ws *DecodeWorkspace) ContextBlocked(scores []float32, valBlocks [][][]float32, ctxLens []int, blockTokens, heads, headDim int, ctx []float32) {
 	rows := len(ctxLens)
@@ -154,9 +155,12 @@ func (ws *DecodeWorkspace) ContextBlocked(scores []float32, valBlocks [][][]floa
 	}
 }
 
-// AttentionBlocked runs the full grouped decode attention with paged K/V:
-// blocked scores, the shared packed scaled softmax, blocked context. It is
-// bit-identical to Attention over the same logical K/V rows.
+// AttentionBlocked runs the full grouped decode attention over block
+// tables: blocked scores, the packed scaled softmax, blocked context.
+// scores is caller-provided scratch of at least heads*Σ ctxLens floats (its
+// contents on return are the attention probabilities, useful for tests);
+// ctx receives [rows, hidden]. The result is bit-identical for every block
+// size over the same logical K/V rows.
 func (ws *DecodeWorkspace) AttentionBlocked(q []float32, keyBlocks, valBlocks [][][]float32, ctxLens []int, blockTokens, heads, headDim int, scale float32, scores, ctx []float32) {
 	if len(keyBlocks) != len(ctxLens) || len(valBlocks) != len(ctxLens) {
 		panic(fmt.Sprintf("kernels: DecodeAttentionBlocked %d sessions with %d/%d key/val tables",

@@ -29,11 +29,12 @@ func pageKV(contig []float32, T, blockTokens, hidden int, rng *rand.Rand) [][]fl
 
 // TestDecodeAttentionBlockedBitIdenticalFuzz is the paged-KV correctness
 // tentpole: on fuzzed ragged batches the blocked kernels — reading K/V
-// through block tables with partially filled tails — must produce scores,
-// probabilities, and context vectors BIT-IDENTICAL to the contiguous path.
-// Exact comparison, no tolerance: the block-table walk must preserve the
-// contiguous kernels' floating-point accumulation order (see the design
-// comment in decode_blocked.go).
+// through small block tables with partially filled tails — must produce
+// scores, probabilities, and context vectors BIT-IDENTICAL to the same
+// kernels over one block per session (the contiguous layout). Exact
+// comparison, no tolerance: the block-table walk must preserve the
+// single-block accumulation order (see the design comment in
+// decode_blocked.go).
 func TestDecodeAttentionBlockedBitIdenticalFuzz(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -67,7 +68,7 @@ func TestDecodeAttentionBlockedBitIdenticalFuzz(t *testing.T) {
 		var wantWS, gotWS DecodeWorkspace
 		wantScores := make([]float32, scoreLen)
 		wantCtx := make([]float32, rows*hidden)
-		wantWS.Attention(q, keys, vals, ctxLens, heads, headDim, scale, wantScores, wantCtx)
+		wantWS.AttentionBlocked(q, oneBlock(keys), oneBlock(vals), ctxLens, maxLen(ctxLens), heads, headDim, scale, wantScores, wantCtx)
 
 		gotScores := make([]float32, scoreLen)
 		gotCtx := make([]float32, rows*hidden)
@@ -75,13 +76,13 @@ func TestDecodeAttentionBlockedBitIdenticalFuzz(t *testing.T) {
 
 		for i := range wantScores {
 			if gotScores[i] != wantScores[i] {
-				t.Fatalf("trial %d (block %d): score[%d] blocked %v vs contiguous %v",
+				t.Fatalf("trial %d (block %d): score[%d] blocked %v vs one block %v",
 					trial, blockTokens, i, gotScores[i], wantScores[i])
 			}
 		}
 		for i := range wantCtx {
 			if gotCtx[i] != wantCtx[i] {
-				t.Fatalf("trial %d (block %d): ctx[%d] blocked %v vs contiguous %v",
+				t.Fatalf("trial %d (block %d): ctx[%d] blocked %v vs one block %v",
 					trial, blockTokens, i, gotCtx[i], wantCtx[i])
 			}
 		}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// FP16 (Turbo-TC) variants of the grouped decode-attention primitives. The
-// KV context arrives as binary16 storage (blas.Half), the query row is
+// FP16 (Turbo-TC) variants of the blocked decode-attention primitives. The
+// KV context arrives as binary16 blocks (blas.Half), the query row is
 // encoded through binary16 at the kernel boundary, and all accumulation
 // stays fp32 — the tensor-core numerics of §6.2.1. Two fusions that the
 // fp32 path runs as separate passes are folded in:
@@ -51,47 +51,10 @@ func (ws *DecodeWorkspace) encodeQ(q []float32, n int) blas.Half {
 	return ws.qh
 }
 
-func checkLenF16(what string, s blas.Half, want int) {
-	if len(s) < want {
-		panic("kernels: " + what + " too short")
-	}
-}
-
-// ScoresF16 computes SCALED single-query attention scores against binary16
-// keys: scores[i][h][t] = scale · (q̂_ih · keys[i][t]_h) with q̂ the
-// binary16-rounded query. Unlike the fp32 Scores, the softmax scale is
-// fused into the GEMM's alpha — one launch instead of a GEMM plus a scaling
-// sweep.
-func (ws *DecodeWorkspace) ScoresF16(q []float32, keys []blas.Half, ctxLens []int, heads, headDim int, scale float32, scores []float32) {
-	rows := len(ctxLens)
-	if rows == 0 {
-		return
-	}
-	hidden := heads * headDim
-	checkLen("DecodeScoresF16 q", q, rows*hidden)
-	checkLen("DecodeScoresF16 scores", scores, decodeScoreFloats(ctxLens, heads))
-	qh := ws.encodeQ(q, rows*hidden)
-	groups := ws.groupsF16For(rows)
-	off := 0
-	for i, T := range ctxLens {
-		checkLenF16("DecodeScoresF16 keys", keys[i], T*hidden)
-		groups[i] = blas.StridedBatchF16{
-			M: 1, N: T, K: headDim,
-			A: qh[i*hidden:], Lda: headDim, StrideA: headDim,
-			B: keys[i], Ldb: hidden, StrideB: headDim,
-			C: scores[off:], Ldc: T, StrideC: T,
-			Count: heads,
-		}
-		off += heads * T
-	}
-	blas.GroupedStridedBatchedGemmF16(false, true, scale, 0, groups)
-	ws.releaseGroupsF16()
-}
-
 // SoftmaxF16 softmaxes each already-scaled score row and rounds the
 // probabilities through binary16 in the same pass — the fused
 // softmax-and-cast that feeds scores·V's Tensor Core A operand. No scale
-// parameter: ScoresF16 folded it into the GEMM.
+// parameter: ScoresBlockedF16 folded it into the GEMM.
 func (ws *DecodeWorkspace) SoftmaxF16(scores []float32, ctxLens []int, heads int) {
 	batch := len(ctxLens)
 	if batch == 0 {
@@ -115,67 +78,13 @@ func (ws *DecodeWorkspace) SoftmaxF16(scores []float32, ctxLens []int, heads int
 	})
 }
 
-// ContextF16 folds binary16-rounded probabilities back through binary16
-// values: ctx[i]_h = probs[i][h] · vals[i]_h with fp32 accumulation. The
-// probabilities stay in their fp32 buffer (they are binary16-valued after
-// SoftmaxF16) — the AF mixed-operand form of the grouped fp16 GEMM.
-func (ws *DecodeWorkspace) ContextF16(scores []float32, vals []blas.Half, ctxLens []int, heads, headDim int, ctx []float32) {
-	rows := len(ctxLens)
-	if rows == 0 {
-		return
-	}
-	hidden := heads * headDim
-	checkLen("DecodeContextF16 ctx", ctx, rows*hidden)
-	checkLen("DecodeContextF16 scores", scores, decodeScoreFloats(ctxLens, heads))
-	groups := ws.groupsF16For(rows)
-	off := 0
-	for i, T := range ctxLens {
-		checkLenF16("DecodeContextF16 vals", vals[i], T*hidden)
-		groups[i] = blas.StridedBatchF16{
-			M: 1, N: headDim, K: T,
-			AF: scores[off:], Lda: T, StrideA: T,
-			B: vals[i], Ldb: hidden, StrideB: headDim,
-			C: ctx[i*hidden:], Ldc: headDim, StrideC: headDim,
-			Count: heads,
-		}
-		off += heads * T
-	}
-	blas.GroupedStridedBatchedGemmF16(false, false, 1, 0, groups)
-	ws.releaseGroupsF16()
-}
-
-// AttentionF16 runs the full grouped fp16 decode attention: fused
-// scaled-QK, fused softmax-and-cast, fp16 context. Three launches where the
-// fp32 path takes four (scores, scale sweep inside softmax, context — the
-// scale sweep is gone and the cast rides the softmax).
-func (ws *DecodeWorkspace) AttentionF16(q []float32, keys, vals []blas.Half, ctxLens []int, heads, headDim int, scale float32, scores, ctx []float32) {
-	if len(keys) != len(ctxLens) || len(vals) != len(ctxLens) {
-		panic(fmt.Sprintf("kernels: DecodeAttentionF16 %d sessions with %d/%d key/val blocks",
-			len(ctxLens), len(keys), len(vals)))
-	}
-	ws.ScoresF16(q, keys, ctxLens, heads, headDim, scale, scores)
-	ws.SoftmaxF16(scores, ctxLens, heads)
-	ws.ContextF16(scores, vals, ctxLens, heads, headDim, ctx)
-}
-
-// checkBlockTableF16 validates one session's binary16 block list.
-func checkBlockTableF16(name string, blocks []blas.Half, T, blockTokens, hidden, session int) {
-	nb := numBlocks(T, blockTokens)
-	if len(blocks) < nb {
-		panic(fmt.Sprintf("kernels: %s session %d has %d blocks for %d rows (block %d)",
-			name, session, len(blocks), T, blockTokens))
-	}
-	for b := 0; b < nb; b++ {
-		if need := blockRows(T, blockTokens, b) * hidden; len(blocks[b]) < need {
-			panic(fmt.Sprintf("kernels: %s session %d block %d has %d halves, need %d",
-				name, session, b, len(blocks[b]), need))
-		}
-	}
-}
-
-// ScoresBlockedF16 is ScoresF16 over paged binary16 keys: one group per
-// (session, block), scale fused into alpha. Paging only partitions output
-// columns here, so each score element runs the exact contiguous dot product.
+// ScoresBlockedF16 computes SCALED single-query attention scores against
+// paged binary16 keys: scores[i][h][t] = scale · (q̂_ih · keys[i][t]_h) with
+// q̂ the binary16-rounded query, one group per (session, block). Unlike the
+// fp32 ScoresBlocked, the softmax scale is fused into the GEMM's alpha — one
+// launch instead of a GEMM plus a scaling sweep. Paging only partitions
+// output columns, so each score element runs the same dot product whatever
+// the block size.
 func (ws *DecodeWorkspace) ScoresBlockedF16(q []float32, keyBlocks [][]blas.Half, ctxLens []int, blockTokens, heads, headDim int, scale float32, scores []float32) {
 	rows := len(ctxLens)
 	if rows == 0 {
@@ -189,7 +98,7 @@ func (ws *DecodeWorkspace) ScoresBlockedF16(q []float32, keyBlocks [][]blas.Half
 	checkLen("DecodeScoresBlockedF16 scores", scores, decodeScoreFloats(ctxLens, heads))
 	total := 0
 	for i, T := range ctxLens {
-		checkBlockTableF16("DecodeScoresBlockedF16 keys", keyBlocks[i], T, blockTokens, hidden, i)
+		checkBlockTable("DecodeScoresBlockedF16 keys", keyBlocks[i], T, blockTokens, hidden, i)
 		total += numBlocks(T, blockTokens)
 	}
 	qh := ws.encodeQ(q, rows*hidden)
@@ -213,10 +122,12 @@ func (ws *DecodeWorkspace) ScoresBlockedF16(q []float32, keyBlocks [][]blas.Half
 	ws.releaseGroupsF16()
 }
 
-// ContextBlockedF16 is ContextF16 over paged binary16 values, applied in
-// ascending rounds with beta=1 continuation so accumulation order matches
-// the contiguous fp16 kernel bit for bit (same argument as the fp32 blocked
-// path: gemmNN accumulates per element in strictly ascending k order).
+// ContextBlockedF16 folds binary16-rounded probabilities back through paged
+// binary16 values with fp32 accumulation — the AF mixed-operand form of the
+// grouped fp16 GEMM (the probabilities stay in their fp32 buffer; they are
+// binary16-valued after SoftmaxF16). Blocks apply in ascending rounds with
+// beta=1 continuation, so accumulation order matches the single-block
+// kernel bit for bit (same argument as the fp32 blocked path).
 func (ws *DecodeWorkspace) ContextBlockedF16(scores []float32, valBlocks [][]blas.Half, ctxLens []int, blockTokens, heads, headDim int, ctx []float32) {
 	rows := len(ctxLens)
 	if rows == 0 {
@@ -230,7 +141,7 @@ func (ws *DecodeWorkspace) ContextBlockedF16(scores []float32, valBlocks [][]bla
 	checkLen("DecodeContextBlockedF16 scores", scores, decodeScoreFloats(ctxLens, heads))
 	maxBlocks := 0
 	for i, T := range ctxLens {
-		checkBlockTableF16("DecodeContextBlockedF16 vals", valBlocks[i], T, blockTokens, hidden, i)
+		checkBlockTable("DecodeContextBlockedF16 vals", valBlocks[i], T, blockTokens, hidden, i)
 		if nb := numBlocks(T, blockTokens); nb > maxBlocks {
 			maxBlocks = nb
 		}
@@ -265,9 +176,10 @@ func (ws *DecodeWorkspace) ContextBlockedF16(scores []float32, valBlocks [][]bla
 	}
 }
 
-// AttentionBlockedF16 runs the full grouped fp16 decode attention with
-// paged binary16 K/V. Bit-identical to AttentionF16 over the same logical
-// K/V rows.
+// AttentionBlockedF16 runs the full grouped fp16 decode attention over
+// binary16 block tables: fused scaled-QK, fused softmax-and-cast, fp16
+// context — three launches where the fp32 path takes four. Bit-identical
+// for every block size over the same logical K/V rows.
 func (ws *DecodeWorkspace) AttentionBlockedF16(q []float32, keyBlocks, valBlocks [][]blas.Half, ctxLens []int, blockTokens, heads, headDim int, scale float32, scores, ctx []float32) {
 	if len(keyBlocks) != len(ctxLens) || len(valBlocks) != len(ctxLens) {
 		panic(fmt.Sprintf("kernels: DecodeAttentionBlockedF16 %d sessions with %d/%d key/val tables",

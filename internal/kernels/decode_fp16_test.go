@@ -45,7 +45,8 @@ func perRowF16Attention(q []float32, keys, vals []blas.Half, ctxLens []int, head
 }
 
 // TestDecodeAttentionF16MatchesPerRowOracle pins the grouped fp16 decode
-// attention bit-identical to the per-row fp16 oracle on a ragged batch.
+// attention, one block per session, bit-identical to the per-row fp16
+// oracle on a ragged batch.
 func TestDecodeAttentionF16MatchesPerRowOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	const heads, headDim = 4, 8
@@ -66,7 +67,7 @@ func TestDecodeAttentionF16MatchesPerRowOracle(t *testing.T) {
 	scores := make([]float32, decodeScoreFloats(ctxLens, heads))
 	got := make([]float32, rows*hidden)
 	var ws DecodeWorkspace
-	ws.AttentionF16(q, keys, vals, ctxLens, heads, headDim, scale, scores, got)
+	ws.AttentionBlockedF16(q, oneBlock(keys), oneBlock(vals), ctxLens, maxLen(ctxLens), heads, headDim, scale, scores, got)
 
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -76,8 +77,8 @@ func TestDecodeAttentionF16MatchesPerRowOracle(t *testing.T) {
 }
 
 // TestDecodeAttentionBlockedF16MatchesContiguous pins the paged fp16 path
-// bit-identical to the contiguous fp16 path over the same logical rows,
-// including partial tail blocks.
+// bit-identical to the contiguous layout — one block per session — over
+// the same logical rows, including partial tail blocks.
 func TestDecodeAttentionBlockedF16MatchesContiguous(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	const heads, headDim, blockTok = 3, 8, 16
@@ -110,7 +111,7 @@ func TestDecodeAttentionBlockedF16MatchesContiguous(t *testing.T) {
 	scoreN := decodeScoreFloats(ctxLens, heads)
 	want := make([]float32, rows*hidden)
 	var ws1 DecodeWorkspace
-	ws1.AttentionF16(q, keys, vals, ctxLens, heads, headDim, scale, make([]float32, scoreN), want)
+	ws1.AttentionBlockedF16(q, oneBlock(keys), oneBlock(vals), ctxLens, maxLen(ctxLens), heads, headDim, scale, make([]float32, scoreN), want)
 
 	got := make([]float32, rows*hidden)
 	var ws2 DecodeWorkspace
@@ -150,11 +151,11 @@ func TestDecodeAttentionF16ToleranceVsFP32(t *testing.T) {
 	scoreN := decodeScoreFloats(ctxLens, heads)
 	ref := make([]float32, rows*hidden)
 	var ws1 DecodeWorkspace
-	ws1.Attention(q, keysF, valsF, ctxLens, heads, headDim, scale, make([]float32, scoreN), ref)
+	ws1.AttentionBlocked(q, oneBlock(keysF), oneBlock(valsF), ctxLens, maxLen(ctxLens), heads, headDim, scale, make([]float32, scoreN), ref)
 
 	got := make([]float32, rows*hidden)
 	var ws2 DecodeWorkspace
-	ws2.AttentionF16(q, keys, vals, ctxLens, heads, headDim, scale, make([]float32, scoreN), got)
+	ws2.AttentionBlockedF16(q, oneBlock(keys), oneBlock(vals), ctxLens, maxLen(ctxLens), heads, headDim, scale, make([]float32, scoreN), got)
 
 	maxRel := 0.0
 	for i := range got {

@@ -70,6 +70,25 @@ func randomDecodeBatch(rng *rand.Rand, rows, heads, headDim, maxCtx int) (q []fl
 	return q, keys, vals, ctxLens
 }
 
+// oneBlock views each session's contiguous context as a one-block table —
+// the layout cross-attention memory runs through the blocked kernels in.
+func oneBlock[B any](ctx []B) [][]B {
+	tables := make([][]B, len(ctx))
+	for i := range ctx {
+		tables[i] = ctx[i : i+1]
+	}
+	return tables
+}
+
+// maxLen is the block size that fits every context in one block.
+func maxLen(lens []int) int {
+	m := 0
+	for _, n := range lens {
+		m = max(m, n)
+	}
+	return m
+}
+
 // TestDecodeAttentionMatchesScalarReference checks the grouped path against
 // the independent float64 reference on fuzzed ragged batches.
 func TestDecodeAttentionMatchesScalarReference(t *testing.T) {
@@ -84,7 +103,8 @@ func TestDecodeAttentionMatchesScalarReference(t *testing.T) {
 		hidden := heads * headDim
 		scores := make([]float32, decodeScoreFloats(lens, heads))
 		ctx := make([]float32, rows*hidden)
-		DecodeAttention(q, keys, vals, lens, heads, headDim, scale, scores, ctx)
+		var ws DecodeWorkspace
+		ws.AttentionBlocked(q, oneBlock(keys), oneBlock(vals), lens, maxLen(lens), heads, headDim, scale, scores, ctx)
 
 		want := refDecodeAttention(q, keys, vals, lens, heads, headDim, scale)
 		for i := range want {
@@ -96,9 +116,9 @@ func TestDecodeAttentionMatchesScalarReference(t *testing.T) {
 }
 
 // TestDecodeAttentionBitIdenticalToPerRowGemm pins the bit-identity claim
-// the generator's oracle rests on: the grouped call must produce EXACTLY
-// the floats a per-(session, head) blas.Gemm loop produces, because both
-// dispatch the same GEMM kernel per problem.
+// the generator's oracle rests on: the grouped call with one block per
+// session must produce EXACTLY the floats a per-(session, head) blas.Gemm
+// loop produces, because both dispatch the same GEMM kernel per problem.
 func TestDecodeAttentionBitIdenticalToPerRowGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
@@ -111,7 +131,8 @@ func TestDecodeAttentionBitIdenticalToPerRowGemm(t *testing.T) {
 
 		scores := make([]float32, decodeScoreFloats(lens, heads))
 		got := make([]float32, rows*hidden)
-		DecodeAttention(q, keys, vals, lens, heads, headDim, scale, scores, got)
+		var ws DecodeWorkspace
+		ws.AttentionBlocked(q, oneBlock(keys), oneBlock(vals), lens, maxLen(lens), heads, headDim, scale, scores, got)
 
 		// Per-row oracle: one Gemm + softmax + Gemm per (session, head),
 		// mirroring Decoder.attend.
@@ -146,7 +167,8 @@ func TestDecodeScaledSoftmaxRowsNormalise(t *testing.T) {
 	for i := range scores {
 		scores[i] = float32(rng.NormFloat64()) * 4
 	}
-	DecodeScaledSoftmax(scores, lens, heads, 0.5)
+	var ws DecodeWorkspace
+	ws.ScaledSoftmax(scores, lens, heads, 0.5)
 	off := 0
 	for s, n := range lens {
 		for h := 0; h < heads; h++ {
@@ -175,14 +197,18 @@ func TestDecodeAttentionRejectsBadShapes(t *testing.T) {
 		fn()
 	}
 	q := make([]float32, 4)
-	kv := [][]float32{make([]float32, 4)}
+	kv := [][][]float32{{make([]float32, 4)}}
+	var ws DecodeWorkspace
 	expectPanic("zero context", func() {
-		DecodeAttention(q, kv, kv, []int{0}, 2, 2, 1, make([]float32, 4), make([]float32, 4))
+		ws.AttentionBlocked(q, kv, kv, []int{0}, 1, 2, 2, 1, make([]float32, 4), make([]float32, 4))
 	})
 	expectPanic("mismatched gather", func() {
-		DecodeAttention(q, kv, nil, []int{1}, 2, 2, 1, make([]float32, 4), make([]float32, 4))
+		ws.AttentionBlocked(q, kv, nil, []int{1}, 1, 2, 2, 1, make([]float32, 4), make([]float32, 4))
 	})
 	expectPanic("short scores", func() {
-		DecodeAttention(q, kv, kv, []int{1}, 2, 2, 1, make([]float32, 1), make([]float32, 4))
+		ws.AttentionBlocked(q, kv, kv, []int{1}, 1, 2, 2, 1, make([]float32, 1), make([]float32, 4))
+	})
+	expectPanic("zero block size", func() {
+		ws.AttentionBlocked(q, kv, kv, []int{1}, 0, 2, 2, 1, make([]float32, 4), make([]float32, 4))
 	})
 }

@@ -8,14 +8,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// BlockKVCache is the paged replacement for KVCache: one generation
-// request's self-attention keys and values stored as fixed-size blocks from
-// a shared allocator.BlockPool instead of contiguous per-request buffers
-// reserved worst-case. Per layer it keeps two block tables (K and V); block
-// b holds rows [b*blockTok, (b+1)*blockTok). Blocks are acquired only as
-// decode depth actually reaches them, so a request that stops early never
-// claimed the pool space its budget implied — admission can pack by actual
-// consumption.
+// KVChunkTokens is the default KV block size in fp32 rows: one block of the
+// serving pool holds KVChunkTokens rows of one layer's K or V (binary16
+// rows pack twice as many into the same block). It is also the granularity
+// of the decode scratch's context planning (roundUpTokens).
+const KVChunkTokens = 32
+
+// BlockKVCache is one generation request's self-attention keys and values,
+// stored as fixed-size blocks from a shared allocator.BlockPool rather than
+// a contiguous per-request buffer reserved worst-case. Per layer it keeps
+// two block tables (K and V); block b holds rows [b*blockTok,
+// (b+1)*blockTok). Blocks are acquired only as decode depth actually
+// reaches them, so a request that stops early never claimed the pool space
+// its budget implied — admission can pack by actual consumption.
 //
 // Sharing: MapFrom adopts another cache's blocks by reference (prompt-hash
 // prefix sharing), and owned[] tracks write permission per block index. A
@@ -30,7 +35,7 @@ import (
 // between AppendRow and Advance — releases blocks whose committed payload
 // is exactly what was charged, so the gauges return to zero.
 //
-// A BlockKVCache is confined to the decode loop's goroutine, like KVCache.
+// A BlockKVCache is confined to the decode loop's goroutine.
 type BlockKVCache struct {
 	pool     *allocator.BlockPool
 	hidden   int
@@ -45,21 +50,12 @@ type BlockKVCache struct {
 	// boundary block was pre-acquired for the in-flight step.
 }
 
-// NewBlockKVCache opens an empty paged cache on pool. The pool's block size
-// must be a whole number of [hidden]float32 rows. No blocks are acquired
-// until the first EnsureAppendable.
-func NewBlockKVCache(pool *allocator.BlockPool, layers, hidden int) (*BlockKVCache, error) {
-	return newBlockKVCache(pool, layers, hidden, false)
-}
-
-// NewBlockKVCacheF16 opens an empty paged cache with binary16 rows: the same
-// pool blocks hold twice the tokens, so the same device budget admits ~2×
-// the sessions. The pool block size is unchanged — only blockTok doubles.
-func NewBlockKVCacheF16(pool *allocator.BlockPool, layers, hidden int) (*BlockKVCache, error) {
-	return newBlockKVCache(pool, layers, hidden, true)
-}
-
-func newBlockKVCache(pool *allocator.BlockPool, layers, hidden int, half bool) (*BlockKVCache, error) {
+// NewBlockKVCache opens an empty paged cache on pool, with binary16 rows
+// when half is set: the same pool blocks then hold twice the tokens
+// (blockTok doubles), so the same device budget admits ~2× the sessions.
+// The pool's block size must be a whole number of rows. No blocks are
+// acquired until the first EnsureAppendable.
+func NewBlockKVCache(pool *allocator.BlockPool, layers, hidden int, half bool) (*BlockKVCache, error) {
 	if layers <= 0 || hidden <= 0 {
 		return nil, fmt.Errorf("model: invalid paged KV geometry layers=%d hidden=%d", layers, hidden)
 	}
@@ -234,22 +230,12 @@ func (c *BlockKVCache) EnsureAppendable() bool {
 }
 
 // AppendRow stores one token's K and V rows for the given layer at the next
-// position, like KVCache.AppendRow. The caller must have run
-// EnsureAppendable for this step; appending without capacity or into a
-// block another cache can see panics. Gauges do not move until Advance.
+// position; every layer appends exactly once per step, then Advance
+// commits the token. The caller must have run EnsureAppendable for this
+// step; appending without capacity or into a block another cache can see
+// panics. Gauges do not move until Advance.
 func (c *BlockKVCache) AppendRow(layer int, kRow, vRow []float32) {
-	if len(kRow) != c.hidden || len(vRow) != c.hidden {
-		panic(fmt.Sprintf("model: KV row size %d/%d, want %d", len(kRow), len(vRow), c.hidden))
-	}
-	bi, off := c.length/c.blockTok, (c.length%c.blockTok)*c.hidden
-	kt, vt := c.k[layer], c.v[layer]
-	if bi >= len(kt) || bi >= len(vt) || !c.owned[layer][bi] {
-		panic("model: AppendRow without EnsureAppendable")
-	}
-	kb, vb := kt[bi], vt[bi]
-	if kb.Shared() || vb.Shared() {
-		panic("model: AppendRow into a shared block")
-	}
+	kb, vb, off := c.tailRow(layer, len(kRow), len(vRow))
 	if c.half {
 		tensor.EncodeF16Slice(kb.DataU16()[off:off+c.hidden], kRow)
 		tensor.EncodeF16Slice(vb.DataU16()[off:off+c.hidden], vRow)
@@ -257,6 +243,25 @@ func (c *BlockKVCache) AppendRow(layer int, kRow, vRow []float32) {
 	}
 	copy(kb.Data()[off:off+c.hidden], kRow)
 	copy(vb.Data()[off:off+c.hidden], vRow)
+}
+
+// tailRow returns layer's K and V blocks holding the next row and the
+// row's element offset in them, panicking on a row of the wrong width or a
+// tail EnsureAppendable did not prepare.
+func (c *BlockKVCache) tailRow(layer, kLen, vLen int) (kb, vb *allocator.Block, off int) {
+	if kLen != c.hidden || vLen != c.hidden {
+		panic(fmt.Sprintf("model: KV row size %d/%d, want %d", kLen, vLen, c.hidden))
+	}
+	bi := c.length / c.blockTok
+	kt, vt := c.k[layer], c.v[layer]
+	if bi >= len(kt) || bi >= len(vt) || !c.owned[layer][bi] {
+		panic("model: KV append without EnsureAppendable")
+	}
+	kb, vb = kt[bi], vt[bi]
+	if kb.Shared() || vb.Shared() {
+		panic("model: KV append into a shared block")
+	}
+	return kb, vb, (c.length % c.blockTok) * c.hidden
 }
 
 // Advance commits the row appended to every layer this step, charging the
@@ -280,7 +285,7 @@ func (c *BlockKVCache) KBlocks(dst [][]float32, l, tokens int) [][]float32 {
 	if c.half {
 		panic("model: KBlocks on a binary16 paged cache; use KBlocksH")
 	}
-	return appendBlockSlices(dst, c.k[l], tokens, c.blockTok)
+	return appendBlocks(dst, c.k[l], tokens, c.blockTok, (*allocator.Block).Data)
 }
 
 // VBlocks appends layer l's value blocks, like KBlocks.
@@ -288,15 +293,7 @@ func (c *BlockKVCache) VBlocks(dst [][]float32, l, tokens int) [][]float32 {
 	if c.half {
 		panic("model: VBlocks on a binary16 paged cache; use VBlocksH")
 	}
-	return appendBlockSlices(dst, c.v[l], tokens, c.blockTok)
-}
-
-func appendBlockSlices(dst [][]float32, table []*allocator.Block, tokens, blockTok int) [][]float32 {
-	nb := (tokens + blockTok - 1) / blockTok
-	for b := 0; b < nb; b++ {
-		dst = append(dst, table[b].Data())
-	}
-	return dst
+	return appendBlocks(dst, c.v[l], tokens, c.blockTok, (*allocator.Block).Data)
 }
 
 // KBlocksH appends layer l's key blocks as binary16 storage (fp16 caches
@@ -305,7 +302,7 @@ func (c *BlockKVCache) KBlocksH(dst []blas.Half, l, tokens int) []blas.Half {
 	if !c.half {
 		panic("model: KBlocksH on an fp32 paged cache; use KBlocks")
 	}
-	return appendBlockSlicesU16(dst, c.k[l], tokens, c.blockTok)
+	return appendBlocks(dst, c.k[l], tokens, c.blockTok, (*allocator.Block).DataU16)
 }
 
 // VBlocksH appends layer l's value blocks, like KBlocksH.
@@ -313,13 +310,14 @@ func (c *BlockKVCache) VBlocksH(dst []blas.Half, l, tokens int) []blas.Half {
 	if !c.half {
 		panic("model: VBlocksH on an fp32 paged cache; use VBlocks")
 	}
-	return appendBlockSlicesU16(dst, c.v[l], tokens, c.blockTok)
+	return appendBlocks(dst, c.v[l], tokens, c.blockTok, (*allocator.Block).DataU16)
 }
 
-func appendBlockSlicesU16(dst []blas.Half, table []*allocator.Block, tokens, blockTok int) []blas.Half {
-	nb := (tokens + blockTok - 1) / blockTok
-	for b := 0; b < nb; b++ {
-		dst = append(dst, table[b].DataU16())
+// appendBlocks appends the views of the table's blocks covering tokens
+// rows of blockTok rows each.
+func appendBlocks[B ~[]E, E any](dst []B, table []*allocator.Block, tokens, blockTok int, view func(*allocator.Block) []E) []B {
+	for b := 0; b*blockTok < tokens; b++ {
+		dst = append(dst, view(table[b]))
 	}
 	return dst
 }

@@ -176,13 +176,11 @@ func (d *Decoder) buildCrossCache(memory *tensor.Tensor) *crossCache {
 	return cc
 }
 
-// attend computes single-query multi-head attention for one beam or
-// session: q [hidden] against keys/vals [T, hidden], writing ctx [hidden].
-// This is the per-row reference oracle for the grouped ragged decode path
-// (kernels.DecodeAttention): each head's score and context products go
-// through the same blas GEMM kernel the grouped call dispatches per
-// (session, head) problem, so the two paths are bit-identical by
-// construction and property tests can pin exact token streams.
+// attend computes single-query multi-head attention for one beam: q
+// [hidden] against keys/vals [T, hidden], writing ctx [hidden]. Each
+// head's score and context products go through the same blas GEMM kernel
+// the grouped decode path dispatches per (session, head) problem, so a
+// beam's numerics match a generation session's exactly.
 func (d *Decoder) attend(q, keys, vals []float32, T int, ctx []float32) {
 	h, heads := d.Cfg.Hidden, d.Cfg.Heads
 	hd := h / heads
@@ -199,12 +197,13 @@ func (d *Decoder) attend(q, keys, vals []float32, T int, ctx []float32) {
 	}
 }
 
-// attendBlocked is attend reading K/V through a paged cache's block tables
-// — the per-row reference oracle for kernels.AttentionBlocked. Scores only
-// partition the output columns per block; the context product applies the
-// blocks in ascending order with beta=1 continuation, resuming the same
-// ascending floating-point accumulation the contiguous GEMM runs — so this
-// path is bit-identical to attend over the same logical rows.
+// attendBlocked is attend reading K/V through block tables — the per-row
+// reference oracle for kernels.AttentionBlocked. Scores only partition the
+// output columns per block; the context product applies the blocks in
+// ascending order with beta=1 continuation, resuming the same ascending
+// floating-point accumulation a single-block GEMM runs — so the result is
+// bit-identical to attend over the same logical rows, whatever the block
+// size.
 func (d *Decoder) attendBlocked(q []float32, keyBlocks, valBlocks [][]float32, T, blockTok int, ctx []float32) {
 	h, heads := d.Cfg.Hidden, d.Cfg.Heads
 	hd := h / heads

@@ -11,12 +11,11 @@ import (
 // FP16 decode support: the Turbo-TC route through the Seq2Seq decoder.
 // Weights are rounded to binary16 once at enable time; activations round at
 // every GEMM boundary (the Tensor Core load conversion); KV rows are stored
-// as binary16 (see KVCache/BlockKVCache half mode); accumulation and all
-// reductions stay fp32. The per-row oracles below dispatch the exact GEMM
-// kernel the grouped fp16 decode path (kernels.AttentionF16 /
-// AttentionBlockedF16) runs per (session, head) problem, so the two routes
-// are bit-identical by construction — the same contract the fp32 pair
-// (attend / DecodeAttention) keeps.
+// as binary16 (see BlockKVCache half mode); accumulation and all reductions
+// stay fp32. The per-row oracle below dispatches the exact GEMM kernel the
+// grouped fp16 decode path (kernels.AttentionBlockedF16) runs per (session,
+// head) problem, so the two routes are bit-identical by construction — the
+// same contract the fp32 pair (attendBlocked / AttentionBlocked) keeps.
 
 // EnableFP16 switches the decoder's generation route to binary16 storage
 // with fp32 accumulation, pre-encoding every GEMM weight. Must be called
@@ -45,6 +44,14 @@ func (d *Decoder) EnableFP16() {
 // FP16Enabled reports whether EnableFP16 was called.
 func (d *Decoder) FP16Enabled() bool { return d.fp16 }
 
+// elemBytes is the storage width of one KV element on the active route.
+func (d *Decoder) elemBytes() int64 {
+	if d.fp16 {
+		return 2
+	}
+	return 4
+}
+
 // buildCrossCacheF16 is buildCrossCache on the fp16 route: the encoder
 // memory and the K/V projection weights round through binary16 into the
 // GEMM, and the projected rows are stored as binary16 — the cross memory is
@@ -68,33 +75,14 @@ func (d *Decoder) buildCrossCacheF16(memory *tensor.Tensor) *crossCache {
 	return cc
 }
 
-// attendF16 is the per-row fp16 reference oracle for kernels.AttentionF16:
-// single-query multi-head attention with binary16 K/V, the softmax scale
-// folded into the score GEMM's alpha, and the probabilities rounded through
-// binary16 before the context product — exactly the fused-chain numerics the
-// grouped kernel runs, one (session, head) problem at a time.
-func (d *Decoder) attendF16(q []float32, keys, vals blas.Half, T int, ctx []float32) {
-	h, heads := d.Cfg.Hidden, d.Cfg.Heads
-	hd := h / heads
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	qr := make([]float32, h)
-	copy(qr, q)
-	tensor.RoundSliceF16(qr)
-	scores := make([]float32, T)
-	for head := 0; head < heads; head++ {
-		off := head * hd
-		blas.GemmF16A32(false, true, 1, T, hd, scale, qr[off:off+hd], hd, keys[off:], h, 0, scores, T)
-		kernels.Softmax(scores, 1, T)
-		tensor.RoundSliceF16(scores)
-		blas.GemmF16A32(false, false, 1, hd, T, 1, scores, T, vals[off:], h, 0, ctx[off:off+hd], hd)
-	}
-}
-
-// attendBlockedF16 is attendF16 reading K/V through a paged cache's
-// binary16 block tables — the per-row oracle for
-// kernels.AttentionBlockedF16. Block application order and beta continuation
-// match the contiguous product exactly, so it is bit-identical to attendF16
-// over the same logical rows.
+// attendBlockedF16 is the per-row fp16 reference oracle for
+// kernels.AttentionBlockedF16: single-query multi-head attention over
+// binary16 K/V read through block tables, with the softmax scale folded
+// into the score GEMM's alpha and the probabilities rounded through
+// binary16 before the context product — exactly the fused-chain numerics
+// the grouped kernel runs, one (session, head) problem at a time. Blocks
+// are applied in ascending order with beta=1 continuation, the same
+// accumulation order whatever the block size.
 func (d *Decoder) attendBlockedF16(q []float32, keyBlocks, valBlocks []blas.Half, T, blockTok int, ctx []float32) {
 	h, heads := d.Cfg.Hidden, d.Cfg.Heads
 	hd := h / heads

@@ -10,10 +10,45 @@ import (
 
 // decodeScratchRowChunk is the row-capacity planning granularity of the
 // decode workspace (batch slots); the score region's context capacity
-// follows the KV cache's own growth policy (roundUpTokens: 1.2× headroom,
-// chunk-rounded), so a plan survives many iterations of steady context
-// growth instead of reallocating every step.
+// follows roundUpTokens (1.2× headroom, chunk-rounded), so a plan survives
+// many iterations of steady context growth instead of reallocating every
+// step.
 const decodeScratchRowChunk = 4
+
+// kvGrowthNum/kvGrowthDen mirror the allocator's K_SCALE = 1.2: when the
+// score region must grow, reserve 20% headroom past the requested context
+// so steady token-by-token growth does not replan at every chunk boundary.
+// Integer math keeps the policy exact (and overflow-checkable) at any size.
+const (
+	kvGrowthNum = 6
+	kvGrowthDen = 5
+)
+
+// maxKVTokens bounds a context capacity: token arithmetic is int while
+// device budgets are int64 bytes, so adversarially large counts clamp
+// instead of overflowing.
+const maxKVTokens = 1 << 40
+
+// roundUpTokens applies the growth policy: headroom-scaled and rounded to
+// the KVChunkTokens granularity, clamped so the result never exceeds
+// maxKVTokens (token counts near the cap skip the headroom rather than
+// overflow).
+func roundUpTokens(need int) int {
+	if need < 1 {
+		need = 1
+	}
+	if need > maxKVTokens {
+		return need // never scale past the cap
+	}
+	scaled := need / kvGrowthDen * kvGrowthNum
+	if rem := need % kvGrowthDen; rem > 0 {
+		scaled += rem * kvGrowthNum / kvGrowthDen
+	}
+	if scaled > maxKVTokens {
+		scaled = maxKVTokens
+	}
+	return (scaled + KVChunkTokens - 1) / KVChunkTokens * KVChunkTokens
+}
 
 // decodeScratch is the decode-iteration workspace shared by Generator.Step
 // and Decoder.stepAll: activations, attention scores, and logits for one
@@ -43,27 +78,15 @@ type decodeScratch struct {
 	scores                []float32 // [heads, planCtx] concatenated ragged rows
 	pe                    []float32 // [hidden] position-encoding row
 
-	// Host-side per-session gather lists for the grouped attention call
-	// (pointers into KV caches, not device data) — reused across steps and
-	// cleared at the end of every iteration so an idle generator does not
-	// pin closed sessions' cache arrays.
-	keys, vals [][]float32
-	lens       []int
-
-	// Paged-mode gather: all sessions' K/V blocks flattened (flatKB/flatVB),
-	// per-session block counts, and the per-session sub-slices handed to the
-	// blocked kernels. Same reuse-and-clear discipline as keys/vals.
-	flatKB, flatVB [][]float32
-	blkCounts      []int
-	kb, vb         [][][]float32
-
-	// fp16-route gather lists: the binary16 twins of keys/vals and the
-	// flattened block tables, plus xh, the activation-encode scratch the
-	// batched fp16 projections round through.
-	keysH, valsH     []blas.Half
-	flatKBH, flatVBH []blas.Half
-	kbh, vbh         [][]blas.Half
-	xh               blas.Half
+	// Per-session K/V block tables for the grouped attention call, on the
+	// fp32 and binary16 routes (pointers into pool blocks and cross memory,
+	// not device data) — reused across steps and cleared at the end of
+	// every iteration so an idle generator does not pin closed sessions'
+	// blocks. xh is the activation-encode scratch the batched fp16
+	// projections round through.
+	single blockTables[[]float32]
+	half   blockTables[blas.Half]
+	xh     blas.Half
 
 	// ws caches the grouped-GEMM descriptors the decode kernels build.
 	ws kernels.DecodeWorkspace
@@ -94,8 +117,8 @@ func (s *decodeScratch) plan(cfg *Config, rows, sumCtx int) {
 	}
 	pr := roundUpChunk(rows, decodeScratchRowChunk)
 	// Headroom past the requested Σcontext: self-attention context grows by
-	// `rows` tokens per iteration, so the KV cache's growth policy (20%
-	// slack, chunk-rounded) keeps replans logarithmically spaced too.
+	// `rows` tokens per iteration, so the growth policy (20% slack,
+	// chunk-rounded) keeps replans logarithmically spaced.
 	pc := roundUpTokens(sumCtx)
 	if pr < s.planRows {
 		pr = s.planRows
@@ -134,33 +157,6 @@ func (s *decodeScratch) bytes() int64 {
 	return s.buf.Size
 }
 
-// gather resets and returns the per-session gather lists, reusing their
-// backing arrays.
-func (s *decodeScratch) gather() ([][]float32, [][]float32, []int) {
-	s.clearGather()
-	return s.keys, s.vals, s.lens
-}
-
-// gatherBlocked resets and returns the paged-mode gather lists (flattened
-// block slices, per-session counts, context lengths), reusing their backing
-// arrays.
-func (s *decodeScratch) gatherBlocked() ([][]float32, [][]float32, []int, []int) {
-	s.clearGather()
-	return s.flatKB, s.flatVB, s.blkCounts, s.lens
-}
-
-// gatherF16 is gather for the binary16 route.
-func (s *decodeScratch) gatherF16() ([]blas.Half, []blas.Half, []int) {
-	s.clearGather()
-	return s.keysH, s.valsH, s.lens
-}
-
-// gatherBlockedF16 is gatherBlocked for the binary16 route.
-func (s *decodeScratch) gatherBlockedF16() ([]blas.Half, []blas.Half, []int, []int) {
-	s.clearGather()
-	return s.flatKBH, s.flatVBH, s.blkCounts, s.lens
-}
-
 // halfIn returns the activation-encode scratch sized for n elements,
 // growing it as needed. Must be called with mu held; the slice is valid
 // until the next halfIn call.
@@ -171,40 +167,60 @@ func (s *decodeScratch) halfIn(n int) blas.Half {
 	return s.xh[:n]
 }
 
-// clearGather drops the KV references collected during an iteration
-// (truncating alone would leave stale slice headers alive in the backing
-// array, keeping freed sessions' K/V storage reachable). Called with mu
-// held.
+// clearGather drops the KV references collected during an iteration.
+// Called with mu held.
 func (s *decodeScratch) clearGather() {
-	clearRows := func(v [][]float32) [][]float32 {
-		full := v[:cap(v)]
-		for i := range full {
-			full[i] = nil
+	s.single.reset()
+	s.half.reset()
+}
+
+// blockTables holds one attention sub-layer's per-session K/V block lists
+// in the layout the blocked kernels read: k and v carry every session's
+// blocks back to back (session i's end at ends[i]), kb/vb slice them per
+// session, and lens holds each session's context rows.
+type blockTables[B any] struct {
+	k, v   []B
+	ends   []int
+	kb, vb [][]B
+	lens   []int
+}
+
+// reset empties the tables, dropping every reference (truncating alone
+// would leave stale slice headers alive in the backing arrays, keeping
+// freed sessions' K/V storage reachable).
+func (t *blockTables[B]) reset() {
+	clear(t.k[:cap(t.k)])
+	clear(t.v[:cap(t.v)])
+	clear(t.kb[:cap(t.kb)])
+	clear(t.vb[:cap(t.vb)])
+	t.k, t.v, t.kb, t.vb = t.k[:0], t.v[:0], t.kb[:0], t.vb[:0]
+	t.ends, t.lens = t.ends[:0], t.lens[:0]
+}
+
+// gather refills the tables with layer l's blocks for every session: its
+// self-attention cache through kBlocks/vBlocks (covering the row appended
+// this step), or — when cross — its cross memory from crossKV as a single
+// block.
+func (t *blockTables[B]) gather(sessions []*GenSession, l int, cross bool,
+	kBlocks, vBlocks func(c *BlockKVCache, dst []B, l, tokens int) []B,
+	crossKV func(cc *crossCache) (k, v []B)) {
+	t.reset()
+	for _, s := range sessions {
+		T := s.kv.Len() + 1
+		if cross {
+			k, v := crossKV(s.cc)
+			T = s.cc.srcLen
+			t.k, t.v = append(t.k, k[l]), append(t.v, v[l])
+		} else {
+			t.k, t.v = kBlocks(s.kv, t.k, l, T), vBlocks(s.kv, t.v, l, T)
 		}
-		return v[:0]
+		t.ends = append(t.ends, len(t.k))
+		t.lens = append(t.lens, T)
 	}
-	s.keys, s.vals = clearRows(s.keys), clearRows(s.vals)
-	s.flatKB, s.flatVB = clearRows(s.flatKB), clearRows(s.flatVB)
-	for _, v := range [2][][][]float32{s.kb[:cap(s.kb)], s.vb[:cap(s.vb)]} {
-		for i := range v {
-			v[i] = nil
-		}
+	start := 0
+	for _, end := range t.ends {
+		t.kb = append(t.kb, t.k[start:end])
+		t.vb = append(t.vb, t.v[start:end])
+		start = end
 	}
-	s.kb, s.vb = s.kb[:0], s.vb[:0]
-	clearHalves := func(v []blas.Half) []blas.Half {
-		full := v[:cap(v)]
-		for i := range full {
-			full[i] = nil
-		}
-		return v[:0]
-	}
-	s.keysH, s.valsH = clearHalves(s.keysH), clearHalves(s.valsH)
-	s.flatKBH, s.flatVBH = clearHalves(s.flatKBH), clearHalves(s.flatVBH)
-	for _, v := range [2][][]blas.Half{s.kbh[:cap(s.kbh)], s.vbh[:cap(s.vbh)]} {
-		for i := range v {
-			v[i] = nil
-		}
-	}
-	s.kbh, s.vbh = s.kbh[:0], s.vbh[:0]
-	s.lens, s.blkCounts = s.lens[:0], s.blkCounts[:0]
 }

@@ -21,14 +21,18 @@ import (
 // Every projection is batched across sessions ([rows,H]×[H,N] GEMMs) even
 // though the sessions sit at different positions with different context
 // lengths — and the ragged parts run grouped: self- and cross-attention
-// execute as one kernels.DecodeAttention call per sub-layer, a grouped
-// strided-batched GEMM over the flattened (session, head) space with each
-// session's own context length as its group shape, plus a packed scaled
-// softmax over the concatenated score rows. No session is ever padded to a
-// batch-maximum context. Because every (session, head) problem runs the
-// same GEMM kernel the per-row oracle uses, a session's token stream is
-// bit-identical whether it runs alone, batched with strangers, or through
-// the PerRowAttention reference path.
+// execute as one blocked grouped-attention call per sub-layer, a grouped
+// strided-batched GEMM over the flattened (session, block, head) space with
+// each session's own context length as its group shape, plus a packed
+// scaled softmax over the concatenated score rows. No session is ever
+// padded to a batch-maximum context. Because every (session, head) problem
+// runs the same GEMM kernel the per-row oracle uses, a session's token
+// stream is bit-identical whether it runs alone, batched with strangers, or
+// through the PerRowAttention reference path.
+//
+// Session KV lives in one place: fixed-size blocks of a shared
+// allocator.BlockPool (BlockKVCache), with retired generations kept in a
+// prefix cache for prompt-identical reuse.
 //
 // Step draws its activations from the decoder's device-accounted decode
 // scratch, so concurrent Step calls on one Generator serialise on that
@@ -40,14 +44,13 @@ type Generator struct {
 	dev *allocator.Device
 
 	// PerRowAttention selects the reference oracle: per-session single-query
-	// attention (Decoder.attend) instead of the grouped ragged kernels.
-	// Token streams are bit-identical either way — property tests and the
-	// gen-decode benchmark pin it.
+	// attention (Decoder.attendBlocked / attendBlockedF16) instead of the
+	// grouped kernels. Token streams are bit-identical either way — property
+	// tests and the gen-decode benchmark pin it.
 	PerRowAttention bool
 
-	// Paged-KV mode (EnablePagedKV): sessions draw fixed-size KV blocks from
-	// pool instead of contiguous worst-case buffers, and prefix caches
-	// retired generations for prompt-identical reuse.
+	// pool supplies every session's KV blocks; prefix caches retired
+	// generations for prompt-identical reuse.
 	pool   *allocator.BlockPool
 	prefix *PrefixCache
 
@@ -57,74 +60,56 @@ type Generator struct {
 	fusedLaunches atomic.Int64
 }
 
-// ErrKVPoolExhausted is returned by Step when a paged session cannot
-// acquire the blocks its next row needs. The serving loop reacts by
-// scavenging the prefix cache or preempting a session, then retries — it
-// pre-ensures block capacity before stepping, so Step itself should never
-// see this unless the pool is undersized for even one request.
+// ErrKVPoolExhausted is returned by Step when a session cannot acquire the
+// blocks its next row needs. The serving loop reacts by scavenging the
+// prefix cache or preempting a session, then retries — it pre-ensures block
+// capacity before stepping, so Step itself should never see this unless the
+// pool is undersized for even one request.
 var ErrKVPoolExhausted = fmt.Errorf("model: KV block pool exhausted")
 
-// EnablePagedKV switches the generator to paged KV: sessions opened with
-// NewPagedSession page their self-attention cache through pool, and up to
-// prefixCap retired generations are kept for prompt-identical reuse
-// (encoder skip, token replay, and block-table sharing). Must be called
-// before any session is opened.
-func (g *Generator) EnablePagedKV(pool *allocator.BlockPool, prefixCap int) {
-	g.pool = pool
-	g.prefix = newPrefixCache(prefixCap)
-}
-
-// Paged reports whether EnablePagedKV was called.
-func (g *Generator) Paged() bool { return g.pool != nil }
-
-// BlockPool returns the paged-KV block pool (nil in legacy mode).
+// BlockPool returns the KV block pool.
 func (g *Generator) BlockPool() *allocator.BlockPool { return g.pool }
 
-// PrefixStats snapshots prefix-cache activity (zero value in legacy mode).
-func (g *Generator) PrefixStats() PrefixCacheStats {
-	if g.prefix == nil {
-		return PrefixCacheStats{}
-	}
-	return g.prefix.stats()
+// BlockTokens returns how many decode rows one pool block holds on the
+// active numeric route — binary16 rows pack twice as many.
+func (g *Generator) BlockTokens() int {
+	return int(g.pool.BlockBytes() / (int64(g.Cfg.Hidden) * g.dec.elemBytes()))
 }
+
+// KVBlocksFor returns the pool blocks a session with rows committed decode
+// rows holds: one K and one V block table per layer, each covering rows.
+// KVBlocksFor(1) is the worst-case cost of a session's next row — the unit
+// admission, scavenging and the watermark reason in.
+func (g *Generator) KVBlocksFor(rows int) int {
+	bt := g.BlockTokens()
+	return 2 * g.Cfg.Layers * ((rows + bt - 1) / bt)
+}
+
+// PrefixStats snapshots prefix-cache activity.
+func (g *Generator) PrefixStats() PrefixCacheStats { return g.prefix.stats() }
 
 // PrefixKnown reports whether the prefix cache holds an entry for this
 // exact prompt — the prefill loop's peek for deciding which admitted
 // prompts can skip the encoder pass. Hit/miss counters move only when a
 // session is actually opened (NewPagedSession).
-func (g *Generator) PrefixKnown(prompt []int) bool {
-	return g.prefix != nil && g.prefix.lookup(prompt) != nil
-}
+func (g *Generator) PrefixKnown(prompt []int) bool { return g.prefix.lookup(prompt) != nil }
 
 // ScavengePrefix drops retired decode KV from least-recently-used prefix
 // entries until at least need pool blocks come free, returning the number
 // freed. Cached token streams stay replayable.
-func (g *Generator) ScavengePrefix(need int) int {
-	if g.prefix == nil {
-		return 0
-	}
-	return g.prefix.scavenge(need)
-}
+func (g *Generator) ScavengePrefix(need int) int { return g.prefix.scavenge(need) }
 
 // ClosePrefix releases every retired entry (server shutdown). The pool can
 // be Closed once live sessions are closed too.
-func (g *Generator) ClosePrefix() {
-	if g.prefix != nil {
-		g.prefix.drop()
-	}
-}
+func (g *Generator) ClosePrefix() { g.prefix.drop() }
 
 // KVRowBytes is the device footprint one token of decoder context costs
-// across all layers' K and V — the unit converting the continuous
-// scheduler's token ledger into the device's KV byte gauges. The fp16 fast
-// path halves it: binary16 rows cost 2 bytes per element, so the same
-// device budget admits ~2× the context tokens.
+// across all layers' K and V — the unit converting token counts into the
+// device's KV byte gauges. The fp16 fast path halves it: binary16 rows cost
+// 2 bytes per element, so the same device budget admits ~2× the context
+// tokens.
 func (g *Generator) KVRowBytes() int64 {
-	elem := int64(4)
-	if g.dec.fp16 {
-		elem = 2
-	}
-	return int64(g.Cfg.Layers) * 2 * int64(g.Cfg.Hidden) * elem
+	return int64(g.Cfg.Layers) * 2 * int64(g.Cfg.Hidden) * g.dec.elemBytes()
 }
 
 // EnableFP16 switches generation to the binary16 fast path: weights encoded
@@ -140,20 +125,25 @@ func (g *Generator) FP16Enabled() bool { return g.dec.fp16 }
 // route has dispatched.
 func (g *Generator) FusedLaunches() int64 { return g.fusedLaunches.Load() }
 
-// NewGenerator builds a generator around a decoder configuration. KV-cache
-// buffers and the decode scratch are accounted on dev.
-func NewGenerator(cfg Config, seed int64, dev *allocator.Device) (*Generator, error) {
+// NewGenerator builds a generator around a decoder configuration. Session
+// KV pages through pool, whose device also accounts the cross-attention
+// memory and the decode scratch; up to prefixCap retired generations are
+// kept for prompt-identical reuse (0 = default 64). Each pool block must
+// hold a whole number of KV rows on the numeric route sessions open with
+// (checked per session).
+func NewGenerator(cfg Config, seed int64, pool *allocator.BlockPool, prefixCap int) (*Generator, error) {
+	if pool == nil {
+		return nil, fmt.Errorf("model %s: generator needs a KV block pool", cfg.Name)
+	}
 	dec, err := NewDecoder(cfg, seed)
 	if err != nil {
 		return nil, err
 	}
-	if dev == nil {
-		dev = allocator.NewDevice()
-	}
+	dev := pool.Device()
 	// Rebind the decoder's workspace to the shared device so decode
 	// activations are visible in the same MemoryStats as KV caches.
 	dec.scr = newDecodeScratch(dev)
-	return &Generator{Cfg: cfg, dec: dec, dev: dev}, nil
+	return &Generator{Cfg: cfg, dec: dec, dev: dev, pool: pool, prefix: newPrefixCache(prefixCap)}, nil
 }
 
 // Decoder exposes the underlying decoder (for tests comparing against the
@@ -161,16 +151,15 @@ func NewGenerator(cfg Config, seed int64, dev *allocator.Device) (*Generator, er
 func (g *Generator) Decoder() *Decoder { return g.dec }
 
 // GenSession is one request's in-flight generation state: its private
-// cross-attention memory, its device-accounted KV cache, and the greedy
-// token stream so far.
+// cross-attention memory, its paged KV cache, and the greedy token stream
+// so far.
 type GenSession struct {
 	ID int64
 
 	cc     *crossCache
 	ccr    *ccRef        // refcounted, device-accounted handle on cc
-	kv     *KVCache      // legacy contiguous cache (nil in paged mode)
-	pkv    *BlockKVCache // paged cache (nil in legacy mode)
-	prompt []int         // prompt tokens, paged mode only (prefix key)
+	kv     *BlockKVCache // nil once closed or retired
+	prompt []int         // prompt tokens (prefix-cache key)
 	toks   []int         // generated tokens, EOS included if hit
 	next   int           // token fed at the next step (BOS, then last generated)
 	pos    int           // next decode position
@@ -181,9 +170,9 @@ type GenSession struct {
 
 // Bind attaches a lifecycle context to the session. The decode loop driving
 // the session checks Cancelled between iterations and evicts the session
-// (releasing its KV reservation) within one step of the context ending —
-// Step itself never aborts a batch mid-iteration, so cancelling one
-// session's context cannot perturb its batch-mates' token streams.
+// (releasing its KV blocks) within one step of the context ending — Step
+// itself never aborts a batch mid-iteration, so cancelling one session's
+// context cannot perturb its batch-mates' token streams.
 func (s *GenSession) Bind(ctx context.Context) { s.ctx = ctx }
 
 // Cancelled reports whether the session's bound context (if any) has ended
@@ -198,89 +187,32 @@ func (s *GenSession) Generated() []int { return s.toks }
 // Done reports whether the session hit EOS or its token budget.
 func (s *GenSession) Done() bool { return s.done }
 
-// ContextLen returns the number of tokens in the self-attention cache.
-func (s *GenSession) ContextLen() int {
-	if s.pkv != nil {
-		return s.pkv.Len()
-	}
-	return s.kv.Len()
-}
-
-// SrcLen returns the cross-attention memory length (the prompt width).
-func (s *GenSession) SrcLen() int { return s.cc.srcLen }
-
 // KVBytes returns the session's current KV-cache device footprint.
-func (s *GenSession) KVBytes() int64 {
-	if s.pkv != nil {
-		return s.pkv.Bytes()
-	}
-	return s.kv.Bytes()
-}
-
-// KVBlocks returns the pool blocks the session holds (0 in legacy mode).
-func (s *GenSession) KVBlocks() int {
-	if s.pkv == nil {
-		return 0
-	}
-	return s.pkv.Blocks()
-}
+func (s *GenSession) KVBytes() int64 { return s.kv.Bytes() }
 
 // EnsureAppendable pre-acquires (and copy-on-writes) whatever blocks the
 // session's next decode row needs, returning false when the pool cannot
 // supply them — the serving loop's pre-step reservation hook. Always true
-// for legacy or finished sessions. Idempotent.
+// for closed or finished sessions. Idempotent.
 func (s *GenSession) EnsureAppendable() bool {
-	if s.pkv == nil || s.done {
+	if s.kv == nil || s.done {
 		return true
 	}
-	return s.pkv.EnsureAppendable()
+	return s.kv.EnsureAppendable()
 }
 
-// NewSession opens a generation session over encoder memory
-// [srcLen, hidden], producing at most maxNew tokens (clamped to the
-// decoder's MaxTargetLen). The KV cache is reserved for the full budget up
-// front, so admission control can reason about worst-case footprint.
-func (g *Generator) NewSession(id int64, memory *tensor.Tensor, maxNew int) (*GenSession, error) {
-	if memory.Rank() != 2 || memory.Dim(1) != g.Cfg.Hidden {
-		return nil, fmt.Errorf("model %s: memory shape %v, want [srcLen, %d]",
-			g.Cfg.Name, memory.Shape(), g.Cfg.Hidden)
-	}
-	if maxNew <= 0 || maxNew > g.Cfg.MaxTargetLen {
-		maxNew = g.Cfg.MaxTargetLen
-	}
-	newKV := NewKVCache
-	if g.dec.fp16 {
-		newKV = NewKVCacheF16
-	}
-	kv, err := newKV(g.dev, g.Cfg.Layers, g.Cfg.Hidden, maxNew)
-	if err != nil {
-		return nil, err
-	}
-	ccr := newCCRef(g.dev, g.dec.newCrossCache(memory), g.Cfg.Hidden)
-	return &GenSession{
-		ID:     id,
-		cc:     ccr.cc,
-		ccr:    ccr,
-		kv:     kv,
-		next:   TokBos,
-		maxNew: maxNew,
-	}, nil
-}
-
-// NewPagedSession opens a generation session in paged-KV mode, keyed by the
-// prompt's tokens. On a prefix hit (an identical prompt was retired before)
-// the cached cross cache is shared — memory may be nil, letting the caller
-// skip the encoder pass entirely — the cached greedy stream is replayed up
-// to maxNew (bit-identical to decoding, greedy is deterministic), and a
-// continuation past it maps the retired block tables copy-free. On a miss,
-// memory must be the encoded prompt and decoding starts from scratch over
-// an empty block table.
+// NewPagedSession opens a generation session keyed by the prompt's tokens,
+// producing at most maxNew tokens (clamped to the decoder's MaxTargetLen).
+// On a prefix hit (an identical prompt was retired before) the cached cross
+// cache is shared — memory may be nil, letting the caller skip the encoder
+// pass entirely — the cached greedy stream is replayed up to maxNew
+// (bit-identical to decoding, greedy is deterministic), and a continuation
+// past it maps the retired block tables copy-free. On a miss, memory must
+// be the encoded prompt [srcLen, hidden] and decoding starts from scratch
+// over an empty block table.
 func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tensor, maxNew int) (*GenSession, error) {
-	if g.pool == nil {
-		return nil, fmt.Errorf("model %s: paged session without EnablePagedKV", g.Cfg.Name)
-	}
 	if len(prompt) == 0 {
-		return nil, fmt.Errorf("model %s: paged session needs the prompt tokens", g.Cfg.Name)
+		return nil, fmt.Errorf("model %s: session needs the prompt tokens", g.Cfg.Name)
 	}
 	if maxNew <= 0 || maxNew > g.Cfg.MaxTargetLen {
 		maxNew = g.Cfg.MaxTargetLen
@@ -290,7 +222,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 	switch {
 	case entry != nil:
 		ccr = entry.ccr.retain()
-		g.prefix.hits++
+		g.prefix.hits.Add(1)
 	case memory == nil:
 		return nil, fmt.Errorf("model %s: prompt not cached and no memory supplied", g.Cfg.Name)
 	default:
@@ -299,13 +231,9 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 				g.Cfg.Name, memory.Shape(), g.Cfg.Hidden)
 		}
 		ccr = newCCRef(g.dev, g.dec.newCrossCache(memory), g.Cfg.Hidden)
-		g.prefix.misses++
+		g.prefix.misses.Add(1)
 	}
-	newPKV := NewBlockKVCache
-	if g.dec.fp16 {
-		newPKV = NewBlockKVCacheF16
-	}
-	pkv, err := newPKV(g.pool, g.Cfg.Layers, g.Cfg.Hidden)
+	kv, err := NewBlockKVCache(g.pool, g.Cfg.Layers, g.Cfg.Hidden, g.dec.fp16)
 	if err != nil {
 		ccr.release()
 		return nil, err
@@ -314,7 +242,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 		ID:     id,
 		cc:     ccr.cc,
 		ccr:    ccr,
-		pkv:    pkv,
+		kv:     kv,
 		prompt: append([]int(nil), prompt...),
 		next:   TokBos,
 		maxNew: maxNew,
@@ -332,7 +260,7 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 		s.toks = append(s.toks, entry.toks[:replay]...)
 		s.pos = replay
 		s.done = true
-		g.prefix.replayToks += int64(replay)
+		g.prefix.replayToks.Add(int64(replay))
 		return s, nil
 	}
 	// Continuation: the cached stream is shorter than the budget and open-
@@ -340,36 +268,36 @@ func (g *Generator) NewPagedSession(id int64, prompt []int, memory *tensor.Tenso
 	// exactly where the donor stopped; if the KV was scavenged, fall through
 	// to a fresh decode — the shared cross cache still skipped the encoder.
 	if entry.kv != nil && entry.kv.Len() == replay && replay > 0 {
-		if err := pkv.MapFrom(entry.kv, replay); err != nil {
+		if err := kv.MapFrom(entry.kv, replay); err != nil {
 			ccr.release()
-			pkv.Free()
+			kv.Free()
 			return nil, err
 		}
 		s.toks = append(s.toks, entry.toks[:replay]...)
 		s.pos = replay
 		s.next = entry.toks[replay-1]
-		g.prefix.replayToks += int64(replay)
+		g.prefix.replayToks.Add(int64(replay))
 	}
 	return s, nil
 }
 
-// Retire donates a naturally-completed paged session to the prefix cache —
-// its cross cache, token stream, and block tables — instead of freeing
-// them, so the next identical prompt replays instead of recomputing. Falls
-// back to Close for legacy sessions, unfinished sessions (their stream is
-// not a valid replay), or when an existing entry already covers the prompt.
+// Retire donates a naturally-completed session to the prefix cache — its
+// cross cache, token stream, and block tables — instead of freeing them, so
+// the next identical prompt replays instead of recomputing. Falls back to
+// Close for unfinished sessions (their stream is not a valid replay), or
+// when an existing entry already covers the prompt.
 func (g *Generator) Retire(s *GenSession) {
 	if s == nil {
 		return
 	}
-	if g.prefix == nil || s.pkv == nil || s.prompt == nil || !s.done {
+	if s.kv == nil || s.prompt == nil || !s.done {
 		s.Close()
 		return
 	}
 	hitEos := len(s.toks) > 0 && s.toks[len(s.toks)-1] == TokEos
-	if g.prefix.insert(s.prompt, s.ccr, s.toks, hitEos, s.pkv) {
+	if g.prefix.insert(s.prompt, s.ccr, s.toks, hitEos, s.kv) {
 		// Ownership moved to the cache entry.
-		s.ccr, s.pkv, s.kv = nil, nil, nil
+		s.ccr, s.kv = nil, nil
 		return
 	}
 	s.Close()
@@ -381,10 +309,6 @@ func (s *GenSession) Close() {
 		s.kv.Free()
 		s.kv = nil
 	}
-	if s.pkv != nil {
-		s.pkv.Free()
-		s.pkv = nil
-	}
 	if s.ccr != nil {
 		s.ccr.release()
 		s.ccr = nil
@@ -393,60 +317,49 @@ func (s *GenSession) Close() {
 
 // Step advances every session by one greedy token and returns the token
 // chosen for each, in order. Sessions marked done are rejected — the
-// continuous scheduler must evict them between iterations.
+// continuous scheduler must evict them between iterations. The body is
+// precision-free: only linear and attention look at the numeric route.
 func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
-	if g.dec.fp16 {
-		return g.stepF16(sessions)
-	}
 	rows := len(sessions)
 	if rows == 0 {
 		return nil, nil
 	}
 	// Iteration shape: Σ self-context (including the row each session is
 	// about to append) and Σ cross-context size the score scratch must hold.
-	paged := sessions[0].pkv != nil
 	sumSelf, sumCross := 0, 0
 	for _, s := range sessions {
 		if s.done {
 			return nil, fmt.Errorf("model %s: session %d already done", g.Cfg.Name, s.ID)
 		}
-		if s.kv == nil && s.pkv == nil {
+		if s.kv == nil {
 			return nil, fmt.Errorf("model %s: session %d closed", g.Cfg.Name, s.ID)
 		}
-		if (s.pkv != nil) != paged {
-			return nil, fmt.Errorf("model %s: mixed paged and contiguous sessions in one batch", g.Cfg.Name)
+		if s.cc.half != g.dec.fp16 || s.kv.Half() != g.dec.fp16 {
+			return nil, fmt.Errorf("model %s: session %d opened on the other numeric route", g.Cfg.Name, s.ID)
 		}
-		sumSelf += s.ContextLen() + 1
+		sumSelf += s.kv.Len() + 1
 		sumCross += s.cc.srcLen
 	}
-	// Paged sessions pre-acquire this step's boundary/CoW blocks so the
-	// append loop below cannot fail mid-iteration. Serving loops call
+	// Sessions pre-acquire this step's boundary/CoW blocks so the append
+	// loop below cannot fail mid-iteration. Serving loops call
 	// EnsureAppendable themselves before stepping (to scavenge or preempt on
 	// exhaustion); this re-check is then a cheap no-op.
-	if paged {
-		for _, s := range sessions {
-			if !s.pkv.EnsureAppendable() {
-				return nil, ErrKVPoolExhausted
-			}
+	for _, s := range sessions {
+		if !s.kv.EnsureAppendable() {
+			return nil, ErrKVPoolExhausted
 		}
 	}
-	maxCtx := sumSelf
-	if sumCross > maxCtx {
-		maxCtx = sumCross
-	}
 	d := g.dec
-	h, inter, vocab, heads := g.Cfg.Hidden, g.Cfg.Inter, g.Cfg.Vocab, g.Cfg.Heads
-	hd := h / heads
-	scale := float32(1 / math.Sqrt(float64(hd)))
+	h, inter, vocab := g.Cfg.Hidden, g.Cfg.Inter, g.Cfg.Vocab
 
 	scr := d.scr
 	scr.mu.Lock()
 	defer scr.mu.Unlock()
 	// Drop this iteration's KV references on the way out so an idle
-	// generator never pins evicted sessions' caches (LIFO: runs before
-	// the unlock above).
+	// generator never pins evicted sessions' blocks (LIFO: runs before the
+	// unlock above).
 	defer scr.clearGather()
-	scr.plan(&g.Cfg, rows, maxCtx)
+	scr.plan(&g.Cfg, rows, max(sumSelf, sumCross))
 	x := scr.x[:rows*h]
 	q := scr.q[:rows*h]
 	kNew := scr.k[:rows*h]
@@ -467,119 +380,46 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 	}
 	kernels.LayerNorm(x, d.Embed.Gamma.Data(), d.Embed.Beta.Data(), rows, h, 1e-5)
 
-	batchedLinear := func(in []float32, w *tensorMat, out []float32) {
-		blas.Gemm(false, false, rows, w.n, w.k, 1, in, w.k, w.data, w.n, 0, out, w.n)
-		if w.bias != nil {
-			kernels.AddBias(out, w.bias, rows, w.n)
-		}
-	}
-
 	for l := range d.layers {
 		lw := &d.layers[l]
 
-		// Self-attention: batched projections, grouped ragged attention over
-		// each session's own cache (per-row oracle when PerRowAttention).
-		batchedLinear(x, mat(lw.selfWq, lw.selfBq), q)
-		batchedLinear(x, mat(lw.selfWk, lw.selfBk), kNew)
-		batchedLinear(x, mat(lw.selfWv, lw.selfBv), vNew)
-		switch {
-		case g.PerRowAttention && paged:
-			for ri, s := range sessions {
-				s.pkv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
-				T := s.pkv.Len() + 1 // include the row just appended
-				d.attendBlocked(q[ri*h:(ri+1)*h],
-					s.pkv.KBlocks(nil, l, T), s.pkv.VBlocks(nil, l, T),
-					T, s.pkv.BlockTokens(), ctx[ri*h:(ri+1)*h])
-			}
-		case g.PerRowAttention:
-			for ri, s := range sessions {
-				s.kv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
-				T := s.kv.Len() + 1 // include the row just appended
-				d.attend(q[ri*h:(ri+1)*h], s.kv.K(l, T), s.kv.V(l, T), T, ctx[ri*h:(ri+1)*h])
-			}
-		case paged:
-			// Grouped blocked attention: the kernels read K/V straight
-			// through each session's block tables — no gather copy, and
-			// bit-identical to the contiguous grouped path.
-			flatK, flatV, counts, lens := scr.gatherBlocked()
-			for ri, s := range sessions {
-				s.pkv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
-				T := s.pkv.Len() + 1
-				before := len(flatK)
-				flatK = s.pkv.KBlocks(flatK, l, T)
-				flatV = s.pkv.VBlocks(flatV, l, T)
-				counts = append(counts, len(flatK)-before)
-				lens = append(lens, T)
-			}
-			kb, vb := scr.kb[:0], scr.vb[:0]
-			off := 0
-			for _, n := range counts {
-				kb = append(kb, flatK[off:off+n])
-				vb = append(vb, flatV[off:off+n])
-				off += n
-			}
-			scr.flatKB, scr.flatVB, scr.blkCounts, scr.lens = flatK, flatV, counts, lens
-			scr.kb, scr.vb = kb, vb
-			scr.ws.AttentionBlocked(q, kb, vb, lens, sessions[0].pkv.BlockTokens(),
-				heads, hd, scale, scr.scores[:heads*sumSelf], ctx)
-		default:
-			keys, vals, lens := scr.gather()
-			for ri, s := range sessions {
-				s.kv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
-				T := s.kv.Len() + 1
-				keys = append(keys, s.kv.K(l, T))
-				vals = append(vals, s.kv.V(l, T))
-				lens = append(lens, T)
-			}
-			scr.keys, scr.vals, scr.lens = keys, vals, lens
-			scr.ws.Attention(q, keys, vals, lens, heads, hd, scale, scr.scores[:heads*sumSelf], ctx)
+		// Self-attention: batched projections, each session's new K/V row
+		// appended to its block tables, then grouped attention over them.
+		g.linear(rows, x, lw.selfWq, lw.selfBq, q)
+		g.linear(rows, x, lw.selfWk, lw.selfBk, kNew)
+		g.linear(rows, x, lw.selfWv, lw.selfBv, vNew)
+		for ri, s := range sessions {
+			s.kv.AppendRow(l, kNew[ri*h:(ri+1)*h], vNew[ri*h:(ri+1)*h])
 		}
-		batchedLinear(ctx, mat(lw.selfWo, lw.selfBo), proj)
+		g.attention(sessions, l, false, q, ctx)
+		g.linear(rows, ctx, lw.selfWo, lw.selfBo, proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.selfLnG.Data(), lw.selfLnB.Data(), rows, h, 1e-5)
 
-		// Cross-attention against each session's own prompt memory, grouped
-		// the same way (ragged srcLen per session).
-		batchedLinear(x, mat(lw.crossWq, lw.crossBq), q)
-		if g.PerRowAttention {
-			for ri, s := range sessions {
-				d.attend(q[ri*h:(ri+1)*h], s.cc.k[l], s.cc.v[l], s.cc.srcLen, ctx[ri*h:(ri+1)*h])
-			}
-		} else {
-			keys, vals, lens := scr.gather()
-			for _, s := range sessions {
-				keys = append(keys, s.cc.k[l])
-				vals = append(vals, s.cc.v[l])
-				lens = append(lens, s.cc.srcLen)
-			}
-			scr.keys, scr.vals, scr.lens = keys, vals, lens
-			scr.ws.Attention(q, keys, vals, lens, heads, hd, scale, scr.scores[:heads*sumCross], ctx)
-		}
-		batchedLinear(ctx, mat(lw.crossWo, lw.crossBo), proj)
+		// Cross-attention against each session's own prompt memory.
+		g.linear(rows, x, lw.crossWq, lw.crossBq, q)
+		g.attention(sessions, l, true, q, ctx)
+		g.linear(rows, ctx, lw.crossWo, lw.crossBo, proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.crossLnG.Data(), lw.crossLnB.Data(), rows, h, 1e-5)
 
 		// Feed-forward network, batched.
-		batchedLinear(x, mat(lw.ffnW1, lw.ffnB1), interBuf)
+		g.linear(rows, x, lw.ffnW1, lw.ffnB1, interBuf)
 		kernels.Act(g.Cfg.Act, interBuf)
-		batchedLinear(interBuf, mat(lw.ffnW2, lw.ffnB2), proj)
+		g.linear(rows, interBuf, lw.ffnW2, lw.ffnB2, proj)
 		kernels.AddResidual(x, proj)
 		kernels.LayerNorm(x, lw.ffnLnG.Data(), lw.ffnLnB.Data(), rows, h, 1e-5)
 	}
 
 	// Vocabulary projection and greedy argmax per session.
 	logits := scr.logits[:rows*vocab]
-	blas.Gemm(false, false, rows, vocab, h, 1, x, h, d.Proj.Data(), vocab, 0, logits, vocab)
+	g.linear(rows, x, d.Proj, nil, logits)
 	out := make([]int, rows)
 	for ri, s := range sessions {
 		tok := argmax(logits[ri*vocab : (ri+1)*vocab])
 		out[ri] = tok
 		s.toks = append(s.toks, tok)
-		if s.pkv != nil {
-			s.pkv.Advance()
-		} else {
-			s.kv.Advance()
-		}
+		s.kv.Advance()
 		s.pos++
 		s.next = tok
 		if tok == TokEos || len(s.toks) >= s.maxNew {
@@ -587,6 +427,73 @@ func (g *Generator) Step(sessions []*GenSession) ([]int, error) {
 		}
 	}
 	return out, nil
+}
+
+// linear computes out = in·W (+ b) over the batch's rows on the decoder's
+// numeric route: an fp32 GEMM, or a binary16 GEMM whose input rounds
+// through binary16 into the encode scratch (the Tensor Core load
+// conversion) against the weight EnableFP16 pre-encoded. Accumulation is
+// fp32 either way. Called with the decode scratch locked.
+func (g *Generator) linear(rows int, in []float32, w, b *tensor.Tensor, out []float32) {
+	d := g.dec
+	k, n := w.Dim(0), w.Dim(1)
+	if d.fp16 {
+		xh := d.scr.halfIn(rows * k)
+		tensor.EncodeF16Slice(xh, in[:rows*k])
+		blas.GemmF16(false, false, rows, n, k, 1, xh, k, d.halfW[w], n, 0, out, n)
+	} else {
+		blas.Gemm(false, false, rows, n, k, 1, in, k, w.Data(), n, 0, out, n)
+	}
+	if b != nil {
+		kernels.AddBias(out, b.Data(), rows, n)
+	}
+}
+
+// attention runs layer l's self-attention (cross false, over the rows each
+// session has appended so far) or cross-attention (over its prompt memory)
+// for the whole batch on the decoder's numeric route, writing ctx. Every
+// session's K/V is read through a block table: its paged cache, or its
+// cross memory as one block as wide as the batch's longest prompt — the
+// single-block case of the blocked kernels builds exactly the GEMM groups a
+// contiguous layout would. The fp16 route reads binary16 storage through
+// the fused kernel chain; PerRowAttention swaps in the per-row oracle.
+// Called with the decode scratch locked.
+func (g *Generator) attention(sessions []*GenSession, l int, cross bool, q, ctx []float32) {
+	d, scr := g.dec, g.dec.scr
+	h, heads := g.Cfg.Hidden, g.Cfg.Heads
+	hd := h / heads
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	blockTok := g.BlockTokens()
+	if cross {
+		blockTok = 0
+		for _, s := range sessions {
+			blockTok = max(blockTok, s.cc.srcLen)
+		}
+	}
+	if d.fp16 {
+		t := &scr.half
+		t.gather(sessions, l, cross, (*BlockKVCache).KBlocksH, (*BlockKVCache).VBlocksH,
+			func(cc *crossCache) ([]blas.Half, []blas.Half) { return cc.kh, cc.vh })
+		if g.PerRowAttention {
+			for ri := range sessions {
+				d.attendBlockedF16(q[ri*h:(ri+1)*h], t.kb[ri], t.vb[ri], t.lens[ri], blockTok, ctx[ri*h:(ri+1)*h])
+			}
+			return
+		}
+		scr.ws.AttentionBlockedF16(q, t.kb, t.vb, t.lens, blockTok, heads, hd, scale, scr.scores, ctx)
+		g.fusedLaunches.Add(1)
+		return
+	}
+	t := &scr.single
+	t.gather(sessions, l, cross, (*BlockKVCache).KBlocks, (*BlockKVCache).VBlocks,
+		func(cc *crossCache) ([][]float32, [][]float32) { return cc.k, cc.v })
+	if g.PerRowAttention {
+		for ri := range sessions {
+			d.attendBlocked(q[ri*h:(ri+1)*h], t.kb[ri], t.vb[ri], t.lens[ri], blockTok, ctx[ri*h:(ri+1)*h])
+		}
+		return
+	}
+	scr.ws.AttentionBlocked(q, t.kb, t.vb, t.lens, blockTok, heads, hd, scale, scr.scores, ctx)
 }
 
 // argmax returns the index of the largest value (first on ties, for

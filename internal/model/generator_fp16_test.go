@@ -12,7 +12,8 @@ import (
 // tentpole property test: on fuzzed continuous-batching schedules, the
 // grouped fp16 decode path (fused-chain kernels over binary16 KV) must
 // produce BIT-IDENTICAL token streams to the per-row fp16 reference
-// (attendF16) — batching strangers together must never perturb a stream.
+// (attendBlockedF16) — batching strangers together must never perturb a
+// stream.
 func TestFP16RaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 	trials := 8
 	if testing.Short() {
@@ -37,16 +38,8 @@ func TestFP16RaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 		}
 		joinAt[0] = 0
 
-		grouped, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
-		grouped.EnableFP16()
-		perRow, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
-		perRow.EnableFP16()
+		grouped, _, _ := newTestGenerator(t, cfg, 2*KVChunkTokens, 4096, 0, true)
+		perRow, _, _ := newTestGenerator(t, cfg, 2*KVChunkTokens, 4096, 0, true)
 		perRow.PerRowAttention = true
 
 		got := raggedRun(t, grouped, mems, budgets, joinAt, evictAt, int64(trial)*37)
@@ -71,103 +64,46 @@ func TestFP16RaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 	}
 }
 
-// TestFP16PagedBitIdenticalToContiguous closes the fp16 quartet: paged
-// grouped and paged per-row streams must match the contiguous fp16 streams
-// token for token — blocked binary16 K/V reads are exact resumptions of the
-// contiguous accumulation.
-func TestFP16PagedBitIdenticalToContiguous(t *testing.T) {
-	cfg := genTestConfig()
-	mems := []int{5, 1, 11, 17}
-	budgets := []int{9, 14, 3, 20}
-	joinAt := []int{0, 2, 1, 0}
-	evictAt := []int{-1, -1, -1, 6}
-
-	mk := func(paged, perRow bool) [][]int {
-		t.Helper()
-		var g *Generator
-		if paged {
-			g, _, _ = newPagedGenerator(t, cfg, 4096, 0)
-			g.EnableFP16()
-			g.PerRowAttention = perRow
-			return pagedRun(t, g, mems, budgets, joinAt, evictAt, 71)
-		}
-		g, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.EnableFP16()
-		g.PerRowAttention = perRow
-		return raggedRun(t, g, mems, budgets, joinAt, evictAt, 71)
-	}
-
-	want := mk(false, false)
-	for _, variant := range []struct {
-		name   string
-		paged  bool
-		perRow bool
-	}{
-		{"contiguous-per-row", false, true},
-		{"paged-grouped", true, false},
-		{"paged-per-row", true, true},
-	} {
-		got := mk(variant.paged, variant.perRow)
-		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("%s session %d: %v vs %v", variant.name, i, got[i], want[i])
-			}
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("%s session %d token %d: %d vs %d",
-						variant.name, i, j, got[i][j], want[i][j])
-				}
-			}
-		}
-	}
-}
+// TestFP16BlockSizeIndependenceFuzz runs the block-size property on the
+// binary16 route: blocked binary16 K/V reads are exact resumptions of the
+// single-block accumulation.
+func TestFP16BlockSizeIndependenceFuzz(t *testing.T) { blockSizeIndependenceFuzz(t, true) }
 
 // TestFP16KVBytesHalved pins the capacity claim at the accounting layer:
-// binary16 KV rows must cost exactly half the bytes on every gauge — the
-// per-token unit, the admission reservation, and the used gauge as tokens
-// land.
+// binary16 KV rows must cost exactly half the bytes — the per-token unit,
+// and the used gauge as tokens land in a paged cache.
 func TestFP16KVBytesHalved(t *testing.T) {
 	cfg := genTestConfig()
-	g32, err := NewGenerator(cfg, 42, allocator.NewDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g16, err := NewGenerator(cfg, 42, allocator.NewDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g32, _, _ := newPagedGenerator(t, cfg, 16, 0)
+	g16, _, _ := newPagedGenerator(t, cfg, 16, 0)
 	g16.EnableFP16()
 	if g16.KVRowBytes()*2 != g32.KVRowBytes() {
 		t.Fatalf("KVRowBytes fp16 %d, fp32 %d — want exactly half", g16.KVRowBytes(), g32.KVRowBytes())
 	}
 
-	dev := allocator.NewDevice()
-	const layers, hidden, grant = 2, 8, 10
-	c, err := NewKVCacheF16(dev, layers, hidden, grant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perTok := int64(layers) * 2 * hidden * 2 // binary16: 2 bytes/elem
-	snap := dev.Snapshot()
-	if snap.KVReservedBytes != grant*perTok {
-		t.Fatalf("fp16 reservation %d, want %d (half the fp32 grant)", snap.KVReservedBytes, grant*perTok)
-	}
-	row := make([]float32, hidden)
-	for tok := 1; tok <= 3; tok++ {
-		for l := 0; l < layers; l++ {
-			c.AppendRow(l, row, row)
+	const layers, hidden = 2, 8
+	for _, half := range []bool{false, true} {
+		dev := allocator.NewDevice()
+		pool := allocator.NewBlockPool(dev, KVChunkTokens*hidden*4, 16)
+		c, err := NewBlockKVCache(pool, layers, hidden, half)
+		if err != nil {
+			t.Fatal(err)
 		}
-		c.Advance()
-		if used := dev.Snapshot().KVUsedBytes; used != int64(tok)*perTok {
-			t.Fatalf("after %d tokens: used %d, want %d", tok, used, int64(tok)*perTok)
+		perTok := int64(layers) * 2 * hidden * 4
+		if half {
+			perTok /= 2 // binary16: 2 bytes/elem
 		}
-	}
-	c.Free()
-	if snap = dev.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
-		t.Fatalf("gauges not released: reserved=%d used=%d", snap.KVReservedBytes, snap.KVUsedBytes)
+		for tok := 1; tok <= 3; tok++ {
+			fillRows(t, c, layers, hidden, 0, 1)
+			if used := dev.Snapshot().KVUsedBytes; used != int64(tok)*perTok {
+				t.Fatalf("half=%v after %d tokens: used %d, want %d", half, tok, used, int64(tok)*perTok)
+			}
+		}
+		c.Free()
+		pool.Close()
+		if snap := dev.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
+			t.Fatalf("half=%v: gauges not released: reserved=%d used=%d", half, snap.KVReservedBytes, snap.KVUsedBytes)
+		}
 	}
 }
 
@@ -179,11 +115,11 @@ func TestFP16BlockTokensDoubled(t *testing.T) {
 	const hidden, layers = 16, 2
 	pool := allocator.NewBlockPool(dev, int64(KVChunkTokens)*hidden*4, 64)
 	defer pool.Close()
-	c32, err := NewBlockKVCache(pool, layers, hidden)
+	c32, err := NewBlockKVCache(pool, layers, hidden, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c16, err := NewBlockKVCacheF16(pool, layers, hidden)
+	c16, err := NewBlockKVCache(pool, layers, hidden, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +159,6 @@ func TestFP16SessionCapacityDoubled(t *testing.T) {
 		dev := allocator.NewDevice()
 		pool := allocator.NewBlockPool(dev, int64(KVChunkTokens)*hidden*4, 48)
 		defer pool.Close()
-		newC := NewBlockKVCache
-		if fp16 {
-			newC = NewBlockKVCacheF16
-		}
 		row := make([]float32, hidden)
 		admitted := 0
 		var open []*BlockKVCache
@@ -236,7 +168,7 @@ func TestFP16SessionCapacityDoubled(t *testing.T) {
 			}
 		}()
 		for {
-			c, err := newC(pool, layers, hidden)
+			c, err := NewBlockKVCache(pool, layers, hidden, fp16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,96 +197,67 @@ func TestFP16SessionCapacityDoubled(t *testing.T) {
 // error bound — and must not be bit-identical (the rounding is real).
 func TestFP16GeneratorToleranceVsFP32(t *testing.T) {
 	cfg := genTestConfig()
-	for _, paged := range []bool{false, true} {
-		var g32, g16 *Generator
-		var err error
-		if paged {
-			g32, _, _ = newPagedGenerator(t, cfg, 4096, 0)
-			g16, _, _ = newPagedGenerator(t, cfg, 4096, 0)
-		} else {
-			if g32, err = NewGenerator(cfg, 42, allocator.NewDevice()); err != nil {
-				t.Fatal(err)
-			}
-			if g16, err = NewGenerator(cfg, 42, allocator.NewDevice()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		g16.EnableFP16()
+	g32, _, _ := newPagedGenerator(t, cfg, 4096, 0)
+	g16, _, _ := newPagedGenerator(t, cfg, 4096, 0)
+	g16.EnableFP16()
 
-		open := func(g *Generator, i int, srcLen int) *GenSession {
-			t.Helper()
-			mem := testMemory(int64(100+i), srcLen, cfg.Hidden)
-			var s *GenSession
-			var err error
-			if paged {
-				s, err = g.NewPagedSession(int64(i), []int{500 + i}, mem, 12)
-			} else {
-				s, err = g.NewSession(int64(i), mem, 12)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+	lens := []int{3, 9, 1, 14}
+	var live32, live16 []*GenSession
+	for i, srcLen := range lens {
+		mem := testMemory(int64(100+i), srcLen, cfg.Hidden)
+		live32 = append(live32, openSession(t, g32, int64(i), mem, 12))
+		live16 = append(live16, openSession(t, g16, int64(i), mem, 12))
+	}
+	maxRel := 0.0
+	vocab := cfg.Vocab
+	for step := 0; step < 6; step++ {
+		if _, err := g32.Step(live32); err != nil {
+			t.Fatal(err)
 		}
-		lens := []int{3, 9, 1, 14}
-		var live32, live16 []*GenSession
-		for i, srcLen := range lens {
-			live32 = append(live32, open(g32, i, srcLen))
-			live16 = append(live16, open(g16, i, srcLen))
+		if _, err := g16.Step(live16); err != nil {
+			t.Fatal(err)
 		}
-		maxRel := 0.0
-		vocab := cfg.Vocab
-		for step := 0; step < 6; step++ {
-			if _, err := g32.Step(live32); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := g16.Step(live16); err != nil {
-				t.Fatal(err)
-			}
-			ref := g32.dec.scr.logits[:len(live32)*vocab]
-			got := g16.dec.scr.logits[:len(live16)*vocab]
-			for i := range ref {
-				rel := math.Abs(float64(got[i])-float64(ref[i])) / (math.Abs(float64(ref[i])) + 1e-3)
-				if rel > maxRel {
-					maxRel = rel
-				}
-			}
-			// Keep the two batches aligned: fp16 may pick different tokens
-			// late in a stream, so force the same continuation on both.
-			for i := range live16 {
-				live16[i].next = live32[i].next
-				if live32[i].done != live16[i].done {
-					live16[i].done = live32[i].done
-				}
-			}
-			kept32, kept16 := live32[:0], live16[:0]
-			for i := range live32 {
-				if live32[i].done {
-					live32[i].Close()
-					live16[i].Close()
-					continue
-				}
-				kept32 = append(kept32, live32[i])
-				kept16 = append(kept16, live16[i])
-			}
-			live32, live16 = kept32, kept16
-			if len(live32) == 0 {
-				break
+		ref := g32.dec.scr.logits[:len(live32)*vocab]
+		got := g16.dec.scr.logits[:len(live16)*vocab]
+		for i := range ref {
+			rel := math.Abs(float64(got[i])-float64(ref[i])) / (math.Abs(float64(ref[i])) + 1e-3)
+			if rel > maxRel {
+				maxRel = rel
 			}
 		}
+		// Keep the two batches aligned: fp16 may pick different tokens
+		// late in a stream, so force the same continuation on both.
+		for i := range live16 {
+			live16[i].next = live32[i].next
+			live16[i].done = live32[i].done
+		}
+		kept32, kept16 := live32[:0], live16[:0]
 		for i := range live32 {
-			live32[i].Close()
-			live16[i].Close()
+			if live32[i].done {
+				live32[i].Close()
+				live16[i].Close()
+				continue
+			}
+			kept32 = append(kept32, live32[i])
+			kept16 = append(kept16, live16[i])
 		}
-		// The vocab projection sits past every LayerNorm, so logit drift
-		// runs a little past the single-layer bound; 5e-2 is the documented
-		// decode-logit tolerance (DESIGN.md §2d).
-		if maxRel > 5e-2 {
-			t.Fatalf("paged=%v: fp16 decode max relative logit error %.4g exceeds 5e-2", paged, maxRel)
+		live32, live16 = kept32, kept16
+		if len(live32) == 0 {
+			break
 		}
-		if maxRel == 0 {
-			t.Fatalf("paged=%v: fp16 logits bit-identical to fp32 — rounding not applied", paged)
-		}
+	}
+	for i := range live32 {
+		live32[i].Close()
+		live16[i].Close()
+	}
+	// The vocab projection sits past every LayerNorm, so logit drift runs a
+	// little past the single-layer bound; 5e-2 is the documented
+	// decode-logit tolerance (DESIGN.md §2d).
+	if maxRel > 5e-2 {
+		t.Fatalf("fp16 decode max relative logit error %.4g exceeds 5e-2", maxRel)
+	}
+	if maxRel == 0 {
+		t.Fatal("fp16 logits bit-identical to fp32 — rounding not applied")
 	}
 }
 

@@ -19,6 +19,39 @@ func testMemory(seed int64, srcLen, hidden int) *tensor.Tensor {
 	return tensor.RandN(seed, 0.3, srcLen, hidden)
 }
 
+// newTestGenerator builds a generator (seed 42) over its own device and a
+// pool of capBlocks blocks holding blockRows KV rows each on the chosen
+// numeric route.
+func newTestGenerator(t *testing.T, cfg Config, blockRows, capBlocks, prefixCap int, fp16 bool) (*Generator, *allocator.Device, *allocator.BlockPool) {
+	t.Helper()
+	elem := int64(4)
+	if fp16 {
+		elem = 2
+	}
+	dev := allocator.NewDevice()
+	pool := allocator.NewBlockPool(dev, int64(blockRows)*int64(cfg.Hidden)*elem, capBlocks)
+	g, err := NewGenerator(cfg, 42, pool, prefixCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp16 {
+		g.EnableFP16()
+	}
+	return g, dev, pool
+}
+
+// openSession opens a session over memory with a prompt unique to id.
+// Nothing in these tests retires such sessions, so the prefix cache never
+// answers them.
+func openSession(t *testing.T, g *Generator, id int64, memory *tensor.Tensor, maxNew int) *GenSession {
+	t.Helper()
+	s, err := g.NewPagedSession(id, []int{int(id)}, memory, maxNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // drain runs a single session to completion and returns its tokens.
 func drain(t *testing.T, g *Generator, sess *GenSession) []int {
 	t.Helper()
@@ -34,32 +67,28 @@ func drain(t *testing.T, g *Generator, sess *GenSession) []int {
 // same token stream as the one-shot beam-1 decoder over the same weights.
 func TestGeneratorMatchesGreedy(t *testing.T) {
 	cfg := genTestConfig()
-	g, err := NewGenerator(cfg, 42, allocator.NewDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := testMemory(7, 9, cfg.Hidden)
+	for _, blockRows := range []int{1, KVChunkTokens} {
+		g, _, _ := newTestGenerator(t, cfg, blockRows, 4096, 0, false)
+		mem := testMemory(7, 9, cfg.Hidden)
 
-	sess, err := g.NewSession(1, mem, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	got := drain(t, g, sess)
+		sess := openSession(t, g, 1, mem, 16)
+		got := drain(t, g, sess)
+		sess.Close()
 
-	hyp, err := g.Decoder().Greedy(mem, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("no tokens generated")
-	}
-	if len(got) != len(hyp.Tokens) {
-		t.Fatalf("generator %v vs greedy %v", got, hyp.Tokens)
-	}
-	for i := range got {
-		if got[i] != hyp.Tokens[i] {
-			t.Fatalf("token %d: generator %d vs greedy %d", i, got[i], hyp.Tokens[i])
+		hyp, err := g.Decoder().Greedy(mem, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			t.Fatal("no tokens generated")
+		}
+		if len(got) != len(hyp.Tokens) {
+			t.Fatalf("block %d: generator %v vs greedy %v", blockRows, got, hyp.Tokens)
+		}
+		for i := range got {
+			if got[i] != hyp.Tokens[i] {
+				t.Fatalf("block %d token %d: generator %d vs greedy %d", blockRows, i, got[i], hyp.Tokens[i])
+			}
 		}
 	}
 }
@@ -69,11 +98,7 @@ func TestGeneratorMatchesGreedy(t *testing.T) {
 // or raggedly batched with strangers that join and leave mid-flight.
 func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	cfg := genTestConfig()
-	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 42, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, dev, pool := newPagedGenerator(t, cfg, 4096, 0)
 	mems := []*tensor.Tensor{
 		testMemory(1, 5, cfg.Hidden),
 		testMemory(2, 13, cfg.Hidden),
@@ -84,10 +109,7 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	// Reference streams: each request alone.
 	solo := make([][]int, len(mems))
 	for i, mem := range mems {
-		sess, err := g.NewSession(int64(100+i), mem, budgets[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := openSession(t, g, int64(100+i), mem, budgets[i])
 		solo[i] = drain(t, g, sess)
 		sess.Close()
 	}
@@ -101,10 +123,7 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	for {
 		for i, at := range joinAt {
 			if at == step {
-				s, err := g.NewSession(int64(i), mems[i], budgets[i])
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := openSession(t, g, int64(i), mems[i], budgets[i])
 				sessions[i] = s
 				live = append(live, s)
 			}
@@ -139,8 +158,10 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 		}
 		s.Close()
 	}
-	// After all sessions close, only the plan-reused decode workspace stays
-	// live; every KV byte (and both KV gauges) must be back to zero.
+	// After all sessions close and the pool returns its blocks, only the
+	// plan-reused decode workspace stays live; every KV byte (and both KV
+	// gauges) must be back to zero.
+	pool.Close()
 	snap := dev.Snapshot()
 	if want := g.Decoder().DecodeScratchBytes(); snap.LiveBytes != want {
 		t.Fatalf("KV memory leaked: %d live bytes, want only the %d-byte decode scratch", snap.LiveBytes, want)
@@ -150,81 +171,25 @@ func TestGeneratorBatchedMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestKVCacheGrowthAndAccounting checks the chunked growth policy and that
-// every byte is returned on Free.
-func TestKVCacheGrowthAndAccounting(t *testing.T) {
-	dev := allocator.NewDevice()
-	const layers, hidden = 2, 8
-	c, err := NewKVCache(dev, layers, hidden, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.CapTokens() != KVChunkTokens {
-		t.Fatalf("initial capacity %d, want one chunk (%d)", c.CapTokens(), KVChunkTokens)
-	}
-	row := make([]float32, hidden)
-	for tok := 0; tok < KVChunkTokens+3; tok++ {
-		for i := range row {
-			row[i] = float32(tok*hidden + i)
-		}
-		for l := 0; l < layers; l++ {
-			c.AppendRow(l, row, row)
-		}
-		c.Advance()
-	}
-	if c.Len() != KVChunkTokens+3 {
-		t.Fatalf("len %d", c.Len())
-	}
-	if c.CapTokens() <= KVChunkTokens {
-		t.Fatal("cache did not grow past its first chunk")
-	}
-	if c.CapTokens()%KVChunkTokens != 0 {
-		t.Fatalf("capacity %d not chunk-aligned", c.CapTokens())
-	}
-	// Rows must survive the growth copy.
-	k := c.K(1, c.Len())
-	for tok := 0; tok < c.Len(); tok++ {
-		if k[tok*hidden] != float32(tok*hidden) {
-			t.Fatalf("row %d corrupted after growth: %f", tok, k[tok*hidden])
-		}
-	}
-	snap := dev.Snapshot()
-	if snap.LiveBytes != c.Bytes() {
-		t.Fatalf("device live %d != cache bytes %d", snap.LiveBytes, c.Bytes())
-	}
-	c.Free()
-	if dev.Snapshot().LiveBytes != 0 {
-		t.Fatalf("free left %d live bytes", dev.Snapshot().LiveBytes)
-	}
-}
-
-// TestSessionBudgetReservation: a session's KV is sized for its whole
-// budget up front, so admission control can reserve worst case.
+// TestSessionBudgetReservation: the pool is the up-front KV reservation.
+// Once a first session has carved the blocks its budget spans, a second
+// session decoding the same budget over the recycled blocks — and the
+// decode workspace, whose plan covers the whole budget's context growth —
+// must never touch the allocator.
 func TestSessionBudgetReservation(t *testing.T) {
 	cfg := genTestConfig()
-	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 1, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := g.NewSession(1, testMemory(4, 6, cfg.Hidden), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.MaxTargetLen = 2 * KVChunkTokens
+	g, dev, _ := newPagedGenerator(t, cfg, 4096, 0)
+	mem := testMemory(4, 6, cfg.Hidden)
+	warm := openSession(t, g, 1, mem, cfg.MaxTargetLen)
+	drain(t, g, warm)
+	warm.Close()
+
+	sess := openSession(t, g, 2, mem, cfg.MaxTargetLen)
 	defer sess.Close()
-	// The first Step plans the decode workspace; after that, neither the KV
-	// cache (reserved up front) nor the workspace (plan covers the whole
-	// budget's context growth) may allocate again.
-	if _, err := g.Step([]*GenSession{sess}); err != nil {
-		t.Fatal(err)
-	}
 	before := dev.Snapshot().AllocCount
-	for !sess.Done() {
-		if _, err := g.Step([]*GenSession{sess}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	drain(t, g, sess)
 	if grew := dev.Snapshot().AllocCount - before; grew != 0 {
-		t.Fatalf("KV or scratch reallocated %d times mid-generation despite up-front reservation", grew)
+		t.Fatalf("KV or scratch allocated %d times mid-generation over a warm pool", grew)
 	}
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 
+	"repro/internal/allocator"
 	"repro/internal/blas"
 )
 
@@ -21,14 +22,14 @@ import (
 // mid-migration window charges neither replica's allocator gauges.
 type SessionSnapshot struct {
 	ID     int64
-	Prompt []int // prompt tokens (paged sessions; nil on contiguous)
+	Prompt []int // prompt tokens
 	Toks   []int // generated tokens so far, EOS included if hit
 	Next   int   // token fed at the next step
 	Pos    int   // next decode position
 	MaxNew int   // decode budget (the admission grant the importer re-reserves)
 	Done   bool
 
-	Half   bool // binary16 storage on both cache kinds
+	Half   bool // binary16 KV storage
 	Hidden int
 	Layers int
 
@@ -59,40 +60,13 @@ func (s *SessionSnapshot) Bytes() int64 {
 
 // appendRowH stores one raw binary16 K/V row for the given layer, the
 // import-side twin of AppendRow: no float32 round trip, so imported rows
-// are the exporter's exact storage words (NaN payloads and all).
-func (c *KVCache) appendRowH(layer int, kRow, vRow []uint16) {
-	if !c.half {
-		panic("model: appendRowH on an fp32 KV cache")
-	}
-	if len(kRow) != c.hidden || len(vRow) != c.hidden {
-		panic(fmt.Sprintf("model: KV row size %d/%d, want %d", len(kRow), len(vRow), c.hidden))
-	}
-	if c.length+1 > c.capTok {
-		c.grow(c.length + 1)
-	}
-	off := c.length * c.hidden
-	copy(c.k[layer].DataU16()[off:off+c.hidden], kRow)
-	copy(c.v[layer].DataU16()[off:off+c.hidden], vRow)
-}
-
-// appendRowH is KVCache.appendRowH for the paged cache: raw binary16 rows,
-// same EnsureAppendable contract as AppendRow.
+// are the exporter's exact storage words (NaN payloads and all). Same
+// EnsureAppendable contract as AppendRow.
 func (c *BlockKVCache) appendRowH(layer int, kRow, vRow []uint16) {
 	if !c.half {
 		panic("model: appendRowH on an fp32 paged cache")
 	}
-	if len(kRow) != c.hidden || len(vRow) != c.hidden {
-		panic(fmt.Sprintf("model: KV row size %d/%d, want %d", len(kRow), len(vRow), c.hidden))
-	}
-	bi, off := c.length/c.blockTok, (c.length%c.blockTok)*c.hidden
-	kt, vt := c.k[layer], c.v[layer]
-	if bi >= len(kt) || bi >= len(vt) || !c.owned[layer][bi] {
-		panic("model: appendRowH without EnsureAppendable")
-	}
-	kb, vb := kt[bi], vt[bi]
-	if kb.Shared() || vb.Shared() {
-		panic("model: appendRowH into a shared block")
-	}
+	kb, vb, off := c.tailRow(layer, len(kRow), len(vRow))
 	copy(kb.DataU16()[off:off+c.hidden], kRow)
 	copy(vb.DataU16()[off:off+c.hidden], vRow)
 }
@@ -103,15 +77,10 @@ func (c *BlockKVCache) appendRowH(layer int, kRow, vRow []uint16) {
 // an iteration boundary is the caller's responsibility, like every other
 // session operation. Only open sessions export.
 func (s *GenSession) Export() (*SessionSnapshot, error) {
-	if s.cc == nil || (s.kv == nil && s.pkv == nil) {
+	if s.cc == nil || s.kv == nil {
 		return nil, fmt.Errorf("model: export of a closed session %d", s.ID)
 	}
-	var hidden, layers int
-	if s.pkv != nil {
-		hidden, layers = s.pkv.hidden, len(s.pkv.k)
-	} else {
-		hidden, layers = s.kv.hidden, len(s.kv.k)
-	}
+	hidden, layers := s.kv.hidden, len(s.kv.k)
 	snap := &SessionSnapshot{
 		ID:     s.ID,
 		Prompt: append([]int(nil), s.prompt...),
@@ -142,57 +111,29 @@ func (s *GenSession) Export() (*SessionSnapshot, error) {
 	// Self KV: every committed row, raw. Right after prefill this is empty —
 	// the dominant hand-off migrates only the cross memory — but a mid-flight
 	// export (tests, future live migration) carries the full context.
-	switch {
-	case s.pkv != nil:
-		n, bt := s.pkv.length, s.pkv.blockTok
-		snap.KVLen = n
-		for l := 0; l < layers; l++ {
-			if snap.Half {
-				kf := make([]uint16, n*hidden)
-				vf := make([]uint16, n*hidden)
-				for t := 0; t < n; {
-					rows := bt
-					if n-t < rows {
-						rows = n - t
-					}
-					bi := t / bt
-					copy(kf[t*hidden:(t+rows)*hidden], s.pkv.k[l][bi].DataU16()[:rows*hidden])
-					copy(vf[t*hidden:(t+rows)*hidden], s.pkv.v[l][bi].DataU16()[:rows*hidden])
-					t += rows
-				}
-				snap.SelfKH = append(snap.SelfKH, kf)
-				snap.SelfVH = append(snap.SelfVH, vf)
-			} else {
-				kf := make([]float32, n*hidden)
-				vf := make([]float32, n*hidden)
-				for t := 0; t < n; {
-					rows := bt
-					if n-t < rows {
-						rows = n - t
-					}
-					bi := t / bt
-					copy(kf[t*hidden:(t+rows)*hidden], s.pkv.k[l][bi].Data()[:rows*hidden])
-					copy(vf[t*hidden:(t+rows)*hidden], s.pkv.v[l][bi].Data()[:rows*hidden])
-					t += rows
-				}
-				snap.SelfK = append(snap.SelfK, kf)
-				snap.SelfV = append(snap.SelfV, vf)
-			}
-		}
-	default:
-		n := s.kv.length
-		snap.KVLen = n
-		for l := 0; l < layers; l++ {
-			if snap.Half {
-				snap.SelfKH = append(snap.SelfKH, append([]uint16(nil), s.kv.k[l].DataU16()[:n*hidden]...))
-				snap.SelfVH = append(snap.SelfVH, append([]uint16(nil), s.kv.v[l].DataU16()[:n*hidden]...))
-			} else {
-				snap.SelfK = append(snap.SelfK, append([]float32(nil), s.kv.k[l].Data()[:n*hidden]...))
-				snap.SelfV = append(snap.SelfV, append([]float32(nil), s.kv.v[l].Data()[:n*hidden]...))
-			}
+	n, bt := s.kv.length, s.kv.blockTok
+	snap.KVLen = n
+	for l := 0; l < layers; l++ {
+		if snap.Half {
+			snap.SelfKH = append(snap.SelfKH, gatherRows(s.kv.k[l], n, bt, hidden, (*allocator.Block).DataU16))
+			snap.SelfVH = append(snap.SelfVH, gatherRows(s.kv.v[l], n, bt, hidden, (*allocator.Block).DataU16))
+		} else {
+			snap.SelfK = append(snap.SelfK, gatherRows(s.kv.k[l], n, bt, hidden, (*allocator.Block).Data))
+			snap.SelfV = append(snap.SelfV, gatherRows(s.kv.v[l], n, bt, hidden, (*allocator.Block).Data))
 		}
 	}
 	return snap, nil
+}
+
+// gatherRows copies the first n rows of a block table (blockTok rows per
+// block) into one contiguous [n, hidden] slab, read through view.
+func gatherRows[E any](table []*allocator.Block, n, blockTok, hidden int, view func(*allocator.Block) []E) []E {
+	out := make([]E, n*hidden)
+	for t := 0; t < n; t += blockTok {
+		rows := min(blockTok, n-t)
+		copy(out[t*hidden:], view(table[t/blockTok])[:rows*hidden])
+	}
+	return out
 }
 
 // ImportSession rebuilds a session from a snapshot on THIS generator's
@@ -205,8 +146,9 @@ func (s *GenSession) Export() (*SessionSnapshot, error) {
 // imported again (each import deep-copies).
 //
 // The destination must run the same geometry and numeric route as the
-// exporter; a paged destination that cannot supply the blocks returns
-// ErrKVPoolExhausted with nothing held.
+// exporter (its block size may differ — the snapshot is layout-free); a
+// destination that cannot supply the blocks returns ErrKVPoolExhausted with
+// nothing held.
 func (g *Generator) ImportSession(snap *SessionSnapshot) (*GenSession, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("model: import of a nil snapshot")
@@ -250,37 +192,17 @@ func (g *Generator) ImportSession(snap *SessionSnapshot) (*GenSession, error) {
 
 	// Replay the committed self rows through the normal append path so the
 	// local gauges see exactly the charges local decode would have made.
-	if g.pool != nil {
-		pkv, err := newBlockKVCache(g.pool, snap.Layers, h, snap.Half)
-		if err != nil {
-			ccr.release()
-			return nil, err
-		}
-		for t := 0; t < snap.KVLen; t++ {
-			if !pkv.EnsureAppendable() {
-				pkv.Free()
-				ccr.release()
-				return nil, ErrKVPoolExhausted
-			}
-			for l := 0; l < snap.Layers; l++ {
-				if snap.Half {
-					pkv.appendRowH(l, snap.SelfKH[l][t*h:(t+1)*h], snap.SelfVH[l][t*h:(t+1)*h])
-				} else {
-					pkv.AppendRow(l, snap.SelfK[l][t*h:(t+1)*h], snap.SelfV[l][t*h:(t+1)*h])
-				}
-			}
-			pkv.Advance()
-		}
-		s.pkv = pkv
-		return s, nil
-	}
-
-	kv, err := newKVCache(g.dev, snap.Layers, h, snap.MaxNew, snap.Half)
+	kv, err := NewBlockKVCache(g.pool, snap.Layers, h, snap.Half)
 	if err != nil {
 		ccr.release()
 		return nil, err
 	}
 	for t := 0; t < snap.KVLen; t++ {
+		if !kv.EnsureAppendable() {
+			kv.Free()
+			ccr.release()
+			return nil, ErrKVPoolExhausted
+		}
 		for l := 0; l < snap.Layers; l++ {
 			if snap.Half {
 				kv.appendRowH(l, snap.SelfKH[l][t*h:(t+1)*h], snap.SelfVH[l][t*h:(t+1)*h])

@@ -9,7 +9,8 @@ import (
 )
 
 // migrateKind is one of the four KV layouts a snapshot must round-trip
-// through bit-identically.
+// through bit-identically: "contiguous" keeps each block table in a single
+// block of MaxTargetLen rows, "paged" splits it into 4-row blocks.
 type migrateKind struct {
 	name  string
 	paged bool
@@ -24,22 +25,15 @@ var migrateKinds = []migrateKind{
 }
 
 // newMigrateGenerator builds one generator of the given kind on its own
-// device (and pool, when paged), with the shared test seed so every
-// generator in a trial owns identical weights.
+// device and pool, with the shared test seed so every generator in a trial
+// owns identical weights.
 func newMigrateGenerator(t *testing.T, cfg Config, kind migrateKind) (*Generator, *allocator.Device) {
 	t.Helper()
-	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 42, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind.half {
-		g.EnableFP16()
-	}
+	blockRows := cfg.MaxTargetLen
 	if kind.paged {
-		pool := allocator.NewBlockPool(dev, int64(KVChunkTokens)*int64(cfg.Hidden)*4, 4096)
-		g.EnablePagedKV(pool, 0)
+		blockRows = 4
 	}
+	g, dev, _ := newTestGenerator(t, cfg, blockRows, 4096, 0, kind.half)
 	return g, dev
 }
 
@@ -60,8 +54,8 @@ func stepAll(t *testing.T, g *Generator, sessions []*GenSession) {
 	}
 }
 
-// TestKVHandoffRoundTripFuzz is the hand-off property test: for every cache
-// kind (contiguous/paged × fp32/fp16) and fuzzed mixed context lengths, a
+// TestKVHandoffRoundTripFuzz is the hand-off property test: for every block
+// layout (contiguous/paged × fp32/fp16) and fuzzed mixed context lengths, a
 // session exported mid-decode must import into a fresh same-weights
 // generator with (a) a bit-identical re-export — every KV word, fp16 rows
 // as raw binary16, survives the round trip — and (b) a continued stream
@@ -85,11 +79,7 @@ func TestKVHandoffRoundTripFuzz(t *testing.T) {
 				for i := range sessions {
 					srcLen := 1 + rng.Intn(18)
 					budget := 4 + rng.Intn(20)
-					s, err := src.NewSession(int64(trial*100+i), testMemory(int64(i*31+trial), srcLen, cfg.Hidden), budget)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sessions[i] = s
+					sessions[i] = openSession(t, src, int64(trial*100+i), testMemory(int64(i*31+trial), srcLen, cfg.Hidden), budget)
 				}
 				for k := rng.Intn(8); k > 0; k-- {
 					stepAll(t, src, sessions)
@@ -173,10 +163,7 @@ func TestKVHandoffSnapshotBytes(t *testing.T) {
 	for _, kind := range migrateKinds {
 		g, _ := newMigrateGenerator(t, cfg, kind)
 		const srcLen = 9
-		s, err := g.NewSession(1, testMemory(3, srcLen, cfg.Hidden), 12)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := openSession(t, g, 1, testMemory(3, srcLen, cfg.Hidden), 12)
 		for i := 0; i < 5; i++ {
 			stepAll(t, g, []*GenSession{s})
 		}
@@ -204,10 +191,7 @@ func TestKVHandoffSnapshotBytes(t *testing.T) {
 func TestKVHandoffExportClosedSession(t *testing.T) {
 	cfg := genTestConfig()
 	g, _ := newMigrateGenerator(t, cfg, migrateKinds[0])
-	s, err := g.NewSession(1, testMemory(3, 5, cfg.Hidden), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSession(t, g, 1, testMemory(3, 5, cfg.Hidden), 8)
 	s.Close()
 	if _, err := s.Export(); err == nil {
 		t.Fatal("export of a closed session succeeded")
@@ -220,10 +204,7 @@ func TestKVHandoffExportClosedSession(t *testing.T) {
 func TestKVHandoffImportValidation(t *testing.T) {
 	cfg := genTestConfig()
 	src, _ := newMigrateGenerator(t, cfg, migrateKind{half: true})
-	s, err := src.NewSession(1, testMemory(3, 5, cfg.Hidden), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openSession(t, src, 1, testMemory(3, 5, cfg.Hidden), 8)
 	defer s.Close()
 	snap, err := s.Export()
 	if err != nil {

@@ -3,94 +3,34 @@ package model
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/allocator"
-	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
-// newPagedGenerator builds a generator in paged-KV mode over its own device
-// and pool. Pool capacity is in blocks; block size follows KVChunkTokens.
+// newPagedGenerator builds an fp32 generator over its own device and a pool
+// of capBlocks KVChunkTokens-row blocks — the serving geometry.
 func newPagedGenerator(t *testing.T, cfg Config, capBlocks, prefixCap int) (*Generator, *allocator.Device, *allocator.BlockPool) {
 	t.Helper()
-	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 42, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := allocator.NewBlockPool(dev, int64(KVChunkTokens)*int64(cfg.Hidden)*4, capBlocks)
-	g.EnablePagedKV(pool, prefixCap)
-	return g, dev, pool
+	return newTestGenerator(t, cfg, KVChunkTokens, capBlocks, prefixCap, false)
 }
 
-// pagedRun mirrors raggedRun for paged sessions: session i joins at
-// joinAt[i] with a unique prompt (no sharing — pure paging), steps raggedly,
-// leaves when done or at evictAt[i].
-func pagedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt []int, seed int64) [][]int {
-	t.Helper()
-	n := len(mems)
-	sessions := make([]*GenSession, n)
-	streams := make([][]int, n)
-	var live []*GenSession
-	started := 0
-	for step := 0; step < 512; step++ {
-		for i := 0; i < n; i++ {
-			if sessions[i] == nil && joinAt[i] == step {
-				mem := testMemory(seed+int64(i), mems[i], g.Cfg.Hidden)
-				prompt := []int{1000 + i, int(seed), mems[i]} // unique per session
-				s, err := g.NewPagedSession(int64(i), prompt, mem, budgets[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				sessions[i] = s
-				live = append(live, s)
-				started++
-			}
-		}
-		if len(live) == 0 {
-			if started == n {
-				break
-			}
-			continue
-		}
-		if _, err := g.Step(live); err != nil {
-			t.Fatal(err)
-		}
-		kept := live[:0]
-		for _, s := range live {
-			i := int(s.ID)
-			if evictAt[i] >= 0 && len(s.Generated()) >= evictAt[i] && !s.Done() {
-				streams[i] = append([]int(nil), s.Generated()...)
-				s.Close()
-				continue
-			}
-			if s.Done() {
-				streams[i] = append([]int(nil), s.Generated()...)
-				s.Close()
-				continue
-			}
-			kept = append(kept, s)
-		}
-		live = kept
-	}
-	if len(live) != 0 || started != n {
-		t.Fatalf("paged run did not terminate: %d live, %d/%d started", len(live), started, n)
-	}
-	return streams
-}
-
-// TestPagedDecodeBitIdenticalToContiguousFuzz is the paged tentpole
-// property: on fuzzed session sets with mixed prompts, budgets, and mid-run
-// admit/evict, the paged generator (block tables, grouped blocked kernels)
-// must produce BIT-IDENTICAL token streams to the legacy contiguous path
-// AND to the per-row blocked oracle.
-func TestPagedDecodeBitIdenticalToContiguousFuzz(t *testing.T) {
+// blockSizeIndependenceFuzz is the paged-layout property: on fuzzed session
+// sets with mixed prompts, budgets, and mid-run admit/evict, token streams
+// must be BIT-IDENTICAL whatever the pool's block size — 1-row blocks (every
+// row its own block), KVChunkTokens-row blocks (the serving geometry), and
+// blocks of at least MaxTargetLen rows (the whole table in one block, the
+// contiguous layout) — through both the grouped blocked kernels and the
+// per-row blocked oracle. Every pool must drain when the sessions close.
+func blockSizeIndependenceFuzz(t *testing.T, fp16 bool) {
 	trials := 10
 	if testing.Short() {
 		trials = 3
 	}
 	cfg := genTestConfig()
+	cfg.MaxTargetLen = 2 * KVChunkTokens // budgets cross block boundaries
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 		n := 1 + rng.Intn(5)
@@ -100,8 +40,7 @@ func TestPagedDecodeBitIdenticalToContiguousFuzz(t *testing.T) {
 		evictAt := make([]int, n)
 		for i := 0; i < n; i++ {
 			mems[i] = 1 + rng.Intn(17)
-			// Budgets past KVChunkTokens cross block boundaries mid-decode.
-			budgets[i] = 1 + rng.Intn(2*KVChunkTokens)
+			budgets[i] = 1 + rng.Intn(cfg.MaxTargetLen)
 			joinAt[i] = rng.Intn(6)
 			evictAt[i] = -1
 			if rng.Intn(4) == 0 {
@@ -109,39 +48,35 @@ func TestPagedDecodeBitIdenticalToContiguousFuzz(t *testing.T) {
 			}
 		}
 		joinAt[0] = 0
-		cfg.MaxTargetLen = 2 * KVChunkTokens // allow boundary-crossing budgets
-
-		legacy, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
-		paged, _, pool := newPagedGenerator(t, cfg, 4096, 8)
-		oracle, dev2, pool2 := newPagedGenerator(t, cfg, 4096, 8)
-		oracle.PerRowAttention = true
 
 		seed := int64(trial) * 17
-		want := raggedRun(t, legacy, mems, budgets, joinAt, evictAt, seed)
-		got := pagedRun(t, paged, mems, budgets, joinAt, evictAt, seed)
-		ref := pagedRun(t, oracle, mems, budgets, joinAt, evictAt, seed)
-		for i := range want {
-			for j := 0; j < len(want[i]) || j < len(got[i]) || j < len(ref[i]); j++ {
-				if j >= len(want[i]) || j >= len(got[i]) || j >= len(ref[i]) ||
-					got[i][j] != want[i][j] || ref[i][j] != want[i][j] {
-					t.Fatalf("trial %d session %d: paged %v / oracle %v vs contiguous %v",
-						trial, i, got[i], ref[i], want[i])
+		var want [][]int
+		for _, blockRows := range []int{1, KVChunkTokens, cfg.MaxTargetLen} {
+			for _, perRow := range []bool{false, true} {
+				g, dev, pool := newTestGenerator(t, cfg, blockRows, 4096, 0, fp16)
+				g.PerRowAttention = perRow
+				got := raggedRun(t, g, mems, budgets, joinAt, evictAt, seed)
+				if want == nil {
+					want = got
+				}
+				for i := range want {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("trial %d session %d, %d-row blocks, per-row=%v: %v vs %v",
+							trial, i, blockRows, perRow, got[i], want[i])
+					}
+				}
+				pool.Close() // panics if a block leaked
+				if snap := dev.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
+					t.Fatalf("trial %d, %d-row blocks: gauges not zero: %+v", trial, blockRows, snap)
 				}
 			}
 		}
-		// All sessions closed: the pools must be fully drained.
-		if st := pool.Stats(); st.UsedBlocks != 0 {
-			t.Fatalf("trial %d: %d blocks leaked", trial, st.UsedBlocks)
-		}
-		pool2.Close()
-		if snap := dev2.Snapshot(); snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
-			t.Fatalf("trial %d: oracle gauges not zero: %+v", trial, snap)
-		}
 	}
 }
+
+// TestBlockSizeIndependenceFuzz runs the block-size property on the fp32
+// route.
+func TestBlockSizeIndependenceFuzz(t *testing.T) { blockSizeIndependenceFuzz(t, false) }
 
 // TestPrefixReplayAndContinuationBitIdentical pins the sharing semantics:
 // a retired prompt answers an identical one by replay (encoder and decode
@@ -155,16 +90,10 @@ func TestPrefixReplayAndContinuationBitIdentical(t *testing.T) {
 	prompt := []int{7, 8, 9, 10}
 	mem := func() *tensor.Tensor { return testMemory(99, 6, cfg.Hidden) }
 
-	// Reference streams from a sharing-free generator.
+	// Reference streams from a fresh generator that never retires.
 	freshAt := func(budget int) []int {
-		g, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := g.NewSession(1, mem(), budget)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g, _, _ := newPagedGenerator(t, cfg, 4096, 0)
+		s := openSession(t, g, 1, mem(), budget)
 		defer s.Close()
 		return drain(t, g, s)
 	}
@@ -321,72 +250,5 @@ func TestPagedPoolExhaustionRecovers(t *testing.T) {
 	sessions[0].Close()
 	if st := pool.Stats(); st.UsedBlocks != 0 {
 		t.Fatalf("%d blocks leaked", st.UsedBlocks)
-	}
-}
-
-// TestLegacyLedgerReconciliation is the one-source-of-truth cross-check:
-// in legacy (contiguous) mode the device's KV-reserved gauge must equal the
-// continuous scheduler's token ledger — Σ ReservedTokens(PromptLen+MaxNew)
-// × KVRowBytes — exactly, for any mix of live sessions.
-func TestLegacyLedgerReconciliation(t *testing.T) {
-	cfg := genTestConfig()
-	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 42, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := sched.NewContinuousScheduler(8, 0)
-	type pair struct {
-		sess *GenSession
-		req  *sched.GenRequest
-	}
-	var livePairs []pair
-	for i, shape := range []struct{ srcLen, maxNew int }{{5, 8}, {13, 3}, {2, 16}} {
-		req := &sched.GenRequest{ID: int64(i), PromptLen: shape.srcLen, MaxNew: shape.maxNew}
-		cs.Enqueue(req)
-		sess, err := g.NewSession(int64(i), testMemory(int64(i), shape.srcLen, cfg.Hidden), shape.maxNew)
-		if err != nil {
-			t.Fatal(err)
-		}
-		livePairs = append(livePairs, pair{sess, req})
-	}
-	if n := len(cs.Admit()); n != 3 {
-		t.Fatalf("admitted %d of 3", n)
-	}
-	check := func() {
-		t.Helper()
-		want := int64(cs.ReservedTokens()) * g.KVRowBytes()
-		if got := dev.Snapshot().KVReservedBytes; got != want {
-			t.Fatalf("device KV-reserved %d, scheduler ledger %d tokens = %d bytes",
-				got, cs.ReservedTokens(), want)
-		}
-	}
-	check()
-	// A few decode steps move used, never reserved.
-	sessions := []*GenSession{livePairs[0].sess, livePairs[1].sess, livePairs[2].sess}
-	for i := 0; i < 2; i++ {
-		alive := sessions[:0]
-		for _, s := range sessions {
-			if !s.Done() {
-				alive = append(alive, s)
-			}
-		}
-		if len(alive) == 0 {
-			break
-		}
-		if _, err := g.Step(alive); err != nil {
-			t.Fatal(err)
-		}
-		sessions = alive
-		check()
-	}
-	// Evictions refund both ledgers in lockstep.
-	for _, p := range livePairs {
-		cs.Evict(p.req.ID)
-		p.sess.Close()
-		check()
-	}
-	if got := dev.Snapshot().KVReservedBytes; got != 0 {
-		t.Fatalf("ledger not zero after full eviction: %d", got)
 	}
 }

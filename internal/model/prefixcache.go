@@ -2,6 +2,7 @@ package model
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/allocator"
 )
@@ -10,11 +11,8 @@ import (
 // The projected encoder memory is real KV storage — per layer a [srcLen,
 // hidden] K and V — so it is charged to the device's KV gauges exactly once
 // however many sessions share it (prompt-identical requests through the
-// prefix cache), and released when the last holder closes. This is the
-// other half of the one-ledger reconciliation: with the prompt rows
-// accounted here and the decode grant accounted in the KV cache, the
-// device's KV-reserved gauge equals the continuous scheduler's
-// ReservedTokens (PromptLen + MaxNew) in bytes.
+// prefix cache), and released when the last holder closes. Decode rows are
+// accounted by the block pool beside it.
 type ccRef struct {
 	cc    *crossCache
 	dev   *allocator.Device
@@ -122,13 +120,17 @@ type PrefixCacheStats struct {
 
 // PrefixCache maps full prompts to retired generations (the WeChat FAQ
 // workload: a fixed question set asked over and over). Owned by the
-// Generator and confined to the decode loop's goroutine, like sessions.
+// Generator: entries change only on the decode loop's goroutine, like
+// sessions, but stats snapshots (the /v1/stats handler, the admission
+// gate) may read from any goroutine, so the table is locked.
 type PrefixCache struct {
-	cap     int
-	entries map[uint64]*prefixEntry
-	tick    int64
+	cap int
 
-	hits, misses, evictions, scavenges, replayToks int64
+	mu      sync.Mutex
+	entries map[uint64]*prefixEntry // guarded by mu
+	tick    int64                   // guarded by mu
+
+	hits, misses, evictions, scavenges, replayToks atomic.Int64
 }
 
 // newPrefixCache builds a cache holding at most capacity retired prompts.
@@ -141,6 +143,8 @@ func newPrefixCache(capacity int) *PrefixCache {
 
 // lookup returns the entry for the exact prompt, bumping its LRU stamp.
 func (pc *PrefixCache) lookup(prompt []int) *prefixEntry {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	e := pc.entries[hashPrompt(prompt)]
 	if e == nil || !sameProm(e.prompt, prompt) {
 		return nil
@@ -150,8 +154,8 @@ func (pc *PrefixCache) lookup(prompt []int) *prefixEntry {
 	return e
 }
 
-// dropEntry releases everything an entry holds.
-func (pc *PrefixCache) dropEntry(key uint64, e *prefixEntry) {
+// dropEntryLocked releases everything an entry holds.
+func (pc *PrefixCache) dropEntryLocked(key uint64, e *prefixEntry) {
 	if e.kv != nil {
 		e.kv.Free()
 		e.kv = nil
@@ -164,12 +168,14 @@ func (pc *PrefixCache) dropEntry(key uint64, e *prefixEntry) {
 // and kv. Returns false — ownership NOT taken — when an existing entry
 // already covers at least as many tokens.
 func (pc *PrefixCache) insert(prompt []int, ccr *ccRef, toks []int, hitEos bool, kv *BlockKVCache) bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	key := hashPrompt(prompt)
 	if old := pc.entries[key]; old != nil {
 		if !sameProm(old.prompt, prompt) || len(old.toks) >= len(toks) {
 			return false // hash collision (keep first) or no upgrade
 		}
-		pc.dropEntry(key, old)
+		pc.dropEntryLocked(key, old)
 	}
 	pc.tick++
 	pc.entries[key] = &prefixEntry{
@@ -181,12 +187,12 @@ func (pc *PrefixCache) insert(prompt []int, ccr *ccRef, toks []int, hitEos bool,
 		lastUse: pc.tick,
 	}
 	for len(pc.entries) > pc.cap {
-		pc.evictOldest()
+		pc.evictOldestLocked()
 	}
 	return true
 }
 
-func (pc *PrefixCache) evictOldest() {
+func (pc *PrefixCache) evictOldestLocked() {
 	var oldKey uint64
 	var old *prefixEntry
 	for k, e := range pc.entries {
@@ -195,8 +201,8 @@ func (pc *PrefixCache) evictOldest() {
 		}
 	}
 	if old != nil {
-		pc.dropEntry(oldKey, old)
-		pc.evictions++
+		pc.dropEntryLocked(oldKey, old)
+		pc.evictions.Add(1)
 	}
 }
 
@@ -205,6 +211,8 @@ func (pc *PrefixCache) evictOldest() {
 // number freed. Token streams stay replayable; only continuation-by-
 // mapping is lost.
 func (pc *PrefixCache) scavenge(need int) int {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	freed := 0
 	for freed < need {
 		var victim *prefixEntry
@@ -222,27 +230,31 @@ func (pc *PrefixCache) scavenge(need int) int {
 		freed += victim.kv.Blocks()
 		victim.kv.Free()
 		victim.kv = nil
-		pc.scavenges++
+		pc.scavenges.Add(1)
 	}
 	return freed
 }
 
 // drop releases every entry (generator shutdown).
 func (pc *PrefixCache) drop() {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	for k, e := range pc.entries {
-		pc.dropEntry(k, e)
+		pc.dropEntryLocked(k, e)
 	}
 }
 
 // stats snapshots the cache's counters.
 func (pc *PrefixCache) stats() PrefixCacheStats {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	st := PrefixCacheStats{
 		Entries:    len(pc.entries),
-		Hits:       pc.hits,
-		Misses:     pc.misses,
-		Evictions:  pc.evictions,
-		Scavenges:  pc.scavenges,
-		ReplayToks: pc.replayToks,
+		Hits:       pc.hits.Load(),
+		Misses:     pc.misses.Load(),
+		Evictions:  pc.evictions.Load(),
+		Scavenges:  pc.scavenges.Load(),
+		ReplayToks: pc.replayToks.Load(),
 	}
 	for _, e := range pc.entries {
 		if e.kv != nil {

@@ -8,8 +8,9 @@ import (
 )
 
 // raggedRun drives a fuzzed continuous-batching schedule on g: session i
-// joins at joinAt[i], steps raggedly with whoever is live, leaves when done
-// (or is force-closed at evictAt[i] if set). Returns each session's stream.
+// joins at joinAt[i] with a unique prompt (no sharing — pure paging), steps
+// raggedly with whoever is live, leaves when done (or is force-closed at
+// evictAt[i] if set). Returns each session's stream.
 func raggedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt []int, seed int64) [][]int {
 	t.Helper()
 	n := len(mems)
@@ -20,7 +21,9 @@ func raggedRun(t *testing.T, g *Generator, mems []int, budgets, joinAt, evictAt 
 	for step := 0; step < 512; step++ {
 		for i := 0; i < n; i++ {
 			if sessions[i] == nil && joinAt[i] == step {
-				s, err := g.NewSession(int64(i), testMemory(seed+int64(i), mems[i], g.Cfg.Hidden), budgets[i])
+				mem := testMemory(seed+int64(i), mems[i], g.Cfg.Hidden)
+				prompt := []int{1000 + i, int(seed), mems[i]}
+				s, err := g.NewPagedSession(int64(i), prompt, mem, budgets[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,14 +97,8 @@ func TestRaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 		// At least one session must join at step 0 or the run stalls.
 		joinAt[0] = 0
 
-		ragged, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
-		perRow, err := NewGenerator(cfg, 42, allocator.NewDevice())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ragged, _, _ := newPagedGenerator(t, cfg, 4096, 0)
+		perRow, _, _ := newPagedGenerator(t, cfg, 4096, 0)
 		perRow.PerRowAttention = true
 
 		got := raggedRun(t, ragged, mems, budgets, joinAt, evictAt, int64(trial)*31)
@@ -126,16 +123,13 @@ func TestRaggedDecodeBitIdenticalToPerRowFuzz(t *testing.T) {
 func TestDecodeScratchPlanReuse(t *testing.T) {
 	cfg := genTestConfig()
 	dev := allocator.NewDevice()
-	g, err := NewGenerator(cfg, 9, dev)
+	g, err := NewGenerator(cfg, 9, allocator.NewBlockPool(dev, KVChunkTokens*int64(cfg.Hidden)*4, 4096), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sessions []*GenSession
 	for i := 0; i < 3; i++ {
-		s, err := g.NewSession(int64(i), testMemory(int64(i), 4+i, cfg.Hidden), 24)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := openSession(t, g, int64(i), testMemory(int64(i), 4+i, cfg.Hidden), 24)
 		sessions = append(sessions, s)
 		defer s.Close()
 	}
@@ -149,7 +143,7 @@ func TestDecodeScratchPlanReuse(t *testing.T) {
 	if scratch == 0 {
 		t.Fatal("decode scratch not device-accounted")
 	}
-	// The workspace shows up in the same MemoryStats as the KV caches.
+	// The workspace shows up in the same MemoryStats as the KV blocks.
 	var kv int64
 	for _, s := range sessions {
 		kv += s.KVBytes()
@@ -171,60 +165,5 @@ func TestDecodeScratchPlanReuse(t *testing.T) {
 	}
 	if grew := dev.Snapshot().AllocCount - before; grew != 0 {
 		t.Fatalf("decode scratch reallocated %d times inside its plan", grew)
-	}
-}
-
-// TestKVReservedVsUsedGauges: the device must report the up-front KV
-// reservation and the actually-occupied bytes separately, with used ≤
-// reserved throughout and both released on Free.
-func TestKVReservedVsUsedGauges(t *testing.T) {
-	dev := allocator.NewDevice()
-	const layers, hidden, grant = 2, 8, 10
-	c, err := NewKVCache(dev, layers, hidden, grant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perTok := int64(layers) * 2 * hidden * 4
-	snap := dev.Snapshot()
-	// One ledger: the reserved gauge carries exactly the admission grant —
-	// not the chunk-rounded, headroom-scaled buffer capacity (that slack is
-	// capacity and lives in LiveBytes only).
-	if snap.KVReservedBytes != grant*perTok {
-		t.Fatalf("reserved %d, want the %d-token admission grant (%d)", snap.KVReservedBytes, grant, grant*perTok)
-	}
-	if c.Bytes() <= snap.KVReservedBytes {
-		t.Fatalf("buffer capacity %d not larger than the grant %d — growth headroom missing", c.Bytes(), snap.KVReservedBytes)
-	}
-	if snap.KVUsedBytes != 0 {
-		t.Fatalf("used %d before any token", snap.KVUsedBytes)
-	}
-	row := make([]float32, hidden)
-	for tok := 1; tok <= KVChunkTokens+2; tok++ { // outgrows the grant AND crosses a growth boundary
-		for l := 0; l < layers; l++ {
-			c.AppendRow(l, row, row)
-		}
-		c.Advance()
-		snap = dev.Snapshot()
-		if snap.KVUsedBytes != int64(tok)*perTok {
-			t.Fatalf("after %d tokens: used %d, want %d", tok, snap.KVUsedBytes, int64(tok)*perTok)
-		}
-		if snap.KVUsedBytes > snap.KVReservedBytes {
-			t.Fatalf("used %d exceeds reserved %d", snap.KVUsedBytes, snap.KVReservedBytes)
-		}
-		// Past the grant the reservation extends row by row (admission
-		// under-budgeted); within it, it stays pinned to the grant.
-		wantRes := int64(grant) * perTok
-		if tok > grant {
-			wantRes = int64(tok) * perTok
-		}
-		if snap.KVReservedBytes != wantRes {
-			t.Fatalf("after %d tokens: reserved gauge %d, want %d", tok, snap.KVReservedBytes, wantRes)
-		}
-	}
-	c.Free()
-	c.Free() // idempotent
-	snap = dev.Snapshot()
-	if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
-		t.Fatalf("gauges not released: reserved=%d used=%d", snap.KVReservedBytes, snap.KVUsedBytes)
 	}
 }

@@ -72,10 +72,9 @@ type genDispatcher struct {
 	sched         *sched.ContinuousScheduler
 	defaultMaxNew int
 
-	// Paged-KV mode: stepNeed is the worst-case block cost of one session's
-	// next decode row (a fresh K and V block on every layer) — the unit the
-	// admission gate, the scavenger, and the watermark all reason in.
-	paged    bool
+	// stepNeed is the worst-case block cost of one session's next decode
+	// row (a fresh K and V block on every layer) — the unit the admission
+	// gate, the scavenger, and the watermark all reason in.
 	stepNeed int
 
 	requests  atomic.Int64
@@ -84,28 +83,26 @@ type genDispatcher struct {
 	peakBatch atomic.Int64
 }
 
-func newGenDispatcher(srv *Server, engine *core.GenEngine, maxBatch, tokenBudget, defaultMaxNew int) *genDispatcher {
+func newGenDispatcher(srv *Server, engine *core.GenEngine, maxBatch, defaultMaxNew int) *genDispatcher {
 	if defaultMaxNew < 1 {
 		defaultMaxNew = 32
 	}
+	gen := engine.Generator
+	pool := gen.BlockPool()
 	d := &genDispatcher{
 		srv:           srv,
 		engine:        engine,
-		sched:         sched.NewContinuousScheduler(maxBatch, tokenBudget),
+		sched:         sched.NewContinuousScheduler(maxBatch, 0),
 		defaultMaxNew: defaultMaxNew,
+		stepNeed:      gen.KVBlocksFor(1),
 	}
-	if gen := engine.Generator; gen.Paged() {
-		d.paged = true
-		d.stepNeed = 2 * engine.DecCfg.Layers
-		pool := gen.BlockPool()
-		d.sched.Gate = &sched.BlockGate{
-			// Retired prefix KV is scavengeable on demand, so it counts as
-			// free for admission — the pre-step hook reclaims it before ever
-			// preempting live work.
-			Free:      func() int { return pool.FreeBlocks() + gen.PrefixStats().KVBlocks },
-			Need:      func(*sched.GenRequest) int { return d.stepNeed },
-			Watermark: d.stepNeed,
-		}
+	d.sched.Gate = &sched.BlockGate{
+		// Retired prefix KV is scavengeable on demand, so it counts as free
+		// for admission — the pre-step hook reclaims it before ever
+		// preempting live work.
+		Free:      func() int { return pool.FreeBlocks() + gen.PrefixStats().KVBlocks },
+		Need:      func(*sched.GenRequest) int { return d.stepNeed },
+		Watermark: d.stepNeed,
 	}
 	// The admission hook drops a queue-head job whose lifecycle ended while
 	// it waited — deadline passed or client gone — failing it (the events
@@ -142,17 +139,19 @@ func (d *genDispatcher) emit(lg *liveGen) {
 	lg.job.emitted = lg.sent
 }
 
-// finish closes out a completed generation: the session is retired — in
-// paged mode donated to the prefix cache so the next identical prompt
-// replays it — and the job's stream gets its terminal event.
+// finish closes out a completed generation: the session is retired —
+// donated to the prefix cache so the next identical prompt replays it —
+// the completion is counted, and the job's stream gets its terminal event
+// (counted first, so a client that has seen its stream end always finds
+// it in the drain meter's numerator).
 func (d *genDispatcher) finish(lg *liveGen) {
 	d.sched.Evict(lg.id)
 	d.engine.Retire(lg.sess)
-	lg.job.events <- genEvent{done: true}
 	d.srv.completions.Add(1)
+	lg.job.events <- genEvent{done: true}
 }
 
-// ensureCapacity is the paged-mode pre-step reservation hook: every live
+// ensureCapacity is the pre-step reservation hook: every live
 // session must be able to append its next KV row BEFORE the iteration runs,
 // so Step itself never fails mid-batch. A shortfall escalates in order —
 // scavenge retired prefix KV, then preempt the most preemptible batch-mate
@@ -210,16 +209,15 @@ func (d *genDispatcher) ensureCapacity(live []*liveGen) []*liveGen {
 }
 
 // importSnap rebuilds a migrated session on this replica's device — the
-// decode-side admission path of a KV hand-off. In paged mode a pool
-// shortfall first scavenges retired prefix KV (sized to the snapshot's
-// committed rows) and retries once before failing the job. The router's
-// onImported hook fires only after the import actually succeeded, so
-// migration counters never count failed attempts.
+// decode-side admission path of a KV hand-off. A pool shortfall first
+// scavenges retired prefix KV — exactly the blocks the snapshot's committed
+// rows occupy at this pool's block size — and retries once before failing
+// the job. The router's onImported hook fires only after the import
+// actually succeeded, so migration counters never count failed attempts.
 func (d *genDispatcher) importSnap(id int64, j *Job) (*liveGen, error) {
 	sess, err := d.engine.ImportSession(j.snap)
-	if errors.Is(err, model.ErrKVPoolExhausted) && d.paged {
-		need := d.stepNeed * (j.snap.KVLen/model.KVChunkTokens + 1)
-		if d.engine.Generator.ScavengePrefix(need) > 0 {
+	if errors.Is(err, model.ErrKVPoolExhausted) {
+		if d.engine.Generator.ScavengePrefix(d.engine.Generator.KVBlocksFor(j.snap.KVLen)) > 0 {
 			sess, err = d.engine.ImportSession(j.snap)
 		}
 	}
@@ -384,13 +382,11 @@ func (d *genDispatcher) Run(q *Queue) {
 			continue
 		}
 
-		// Paged mode: reserve every session's next KV row before stepping
-		// (scavenging or preempting on shortfall), so Step never fails
-		// mid-batch on an exhausted pool.
-		if d.paged {
-			if live = d.ensureCapacity(live); len(live) == 0 {
-				continue
-			}
+		// Reserve every session's next KV row before stepping (scavenging or
+		// preempting on shortfall), so Step never fails mid-batch on an
+		// exhausted pool.
+		if live = d.ensureCapacity(live); len(live) == 0 {
+			continue
 		}
 
 		// One decode iteration over the ragged batch.

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocator"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -47,7 +49,7 @@ func pagedTestServer(t *testing.T, genMaxBatch, kvBlocks int) (*Server, *core.Ge
 	if err != nil {
 		t.Fatal(err)
 	}
-	genEngine, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 5, PagedKV: true, PagedKVBlocks: kvBlocks})
+	genEngine, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 5, PagedKVBlocks: kvBlocks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +74,16 @@ func pagedTestServer(t *testing.T, genMaxBatch, kvBlocks int) (*Server, *core.Ge
 	return srv, genEngine
 }
 
+// kvAfterClose stops srv, then closes its generation engine — the prefix
+// cache's retired entries, then the block pool, which panics on a leaked
+// block — and returns the engine's memory counters, whose KV gauges must
+// read zero once every session is gone.
+func kvAfterClose(srv *Server) allocator.Snapshot {
+	srv.Close()
+	srv.gen.engine.Close()
+	return srv.gen.engine.MemoryStats()
+}
+
 // serveGen runs one generate request straight through the server's job
 // path (no HTTP server needed — the recorder-level helpers below keep the
 // paged tests fast and deterministic).
@@ -88,13 +100,15 @@ func serveGen(t *testing.T, srv *Server, text string, maxNew int) []int {
 }
 
 // TestPagedGenerateMatchesLegacy pins the serving-level bit-identity of the
-// paged path: the same prompts produce exactly the streams the contiguous-KV
-// server produces, repeated prompts are answered from the prefix cache
-// (hits counted, replay tokens counted, no second encoder pass), and a
-// longer re-ask of a cached prompt continues off the donated block tables —
-// the copy-free sharing showing up in the pool's peak-shared gauge.
+// paged path: the same prompts produce exactly the streams each prompt
+// decodes to alone on a fresh engine with nothing shared (legacyGen — what
+// the retired contiguous-KV server computed), repeated prompts are answered
+// from the prefix cache (hits counted, replay tokens counted, no second
+// encoder pass), and a longer re-ask of a cached prompt continues off the
+// donated block tables — the copy-free sharing showing up in the pool's
+// peak-shared gauge.
 func TestPagedGenerateMatchesLegacy(t *testing.T) {
-	legacy, _ := genTestServer(t, 8, 0)
+	legacy := legacyEngine(t)
 	paged, genEngine := pagedTestServer(t, 8, 0)
 
 	// A fixed-question mix: "hello"/"alpha"/"beta" decode their full budget
@@ -151,12 +165,35 @@ func TestPagedGenerateMatchesLegacy(t *testing.T) {
 	}
 }
 
-// legacyGen is serveGen against the HTTP-test legacy server from
-// genTestServer (which returns an httptest URL, so route through its
-// handler directly for symmetry).
-func legacyGen(t *testing.T, srv *Server, text string, maxNew int) []int {
+// legacyEngine builds the sharing-free reference engine: the serving
+// geometry and seed of pagedTestServer, driven directly.
+func legacyEngine(t *testing.T) *core.GenEngine {
 	t.Helper()
-	return serveGen(t, srv, text, maxNew)
+	encCfg := model.BertBase().Scaled(128, 4, 512, 2)
+	decCfg := model.Seq2SeqDecoder().Scaled(128, 4, 512, 2)
+	e, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
+// legacyGen decodes text alone on e and closes the session instead of
+// retiring it, so nothing is ever replayed or shared.
+func legacyGen(t *testing.T, e *core.GenEngine, text string, maxNew int) []int {
+	t.Helper()
+	ss, err := e.StartSessions([]int64{1}, [][]int{Tokenize(text, e.Cfg.Vocab)}, []int{maxNew})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss[0].Close()
+	for !ss[0].Done() {
+		if _, err := e.Step(ss); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return append([]int(nil), ss[0].Generated()...)
 }
 
 // TestPagedPreemptionLossless squeezes two long generations through a pool
@@ -217,5 +254,75 @@ func TestPagedGaugesDrainToZero(t *testing.T) {
 	if mem.KVReservedBytes != 0 || mem.KVUsedBytes != 0 {
 		t.Fatalf("KV gauges not zero after drain: reserved=%d used=%d",
 			mem.KVReservedBytes, mem.KVUsedBytes)
+	}
+}
+
+// TestImportSnapScavengesExactBlocks: a KV hand-off that finds the pool
+// full scavenges exactly the blocks the snapshot's committed rows occupy at
+// the pool's real block size — here one retired entry's worth — and no
+// more: at an exact multiple of the fp32 block size, and on the fp16 route,
+// whose blocks hold twice the rows.
+func TestImportSnapScavengesExactBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		fp16 bool
+		rows int
+	}{{false, model.KVChunkTokens}, {true, model.KVChunkTokens + 8}} {
+		encCfg := model.BertBase().Scaled(32, 2, 64, 1)
+		decCfg := model.Seq2SeqDecoder().Scaled(32, 2, 64, 1)
+		const entries = 3
+		perEntry := 2 * decCfg.Layers // one K and one V block per layer
+		e, err := core.NewGenEngine(encCfg, decCfg, core.Options{Seed: 5, FP16: tc.fp16, PagedKVBlocks: entries * perEntry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fill the pool with retired generations, one block per table each.
+		for i := 0; i < entries; i++ {
+			ss, err := e.StartSessions([]int64{int64(i)}, [][]int{{10 + i, 11, 12}}, []int{2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !ss[0].Done() {
+				if _, err := e.Step(ss); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Retire(ss[0])
+		}
+		if free, st := e.Generator.BlockPool().FreeBlocks(), e.Generator.PrefixStats(); free != 0 || st.KVBlocks != entries*perEntry {
+			t.Fatalf("fp16=%v: setup left %d free blocks, %d retired", tc.fp16, free, st.KVBlocks)
+		}
+
+		h, layers := decCfg.Hidden, decCfg.Layers
+		snap := &model.SessionSnapshot{
+			ID: 99, Prompt: []int{99}, Toks: make([]int, tc.rows), Next: 5, Pos: tc.rows,
+			MaxNew: tc.rows + 4, Half: tc.fp16, Hidden: h, Layers: layers, SrcLen: 3, KVLen: tc.rows,
+		}
+		for l := 0; l < layers; l++ {
+			if tc.fp16 {
+				snap.CrossKH = append(snap.CrossKH, make([]uint16, 3*h))
+				snap.CrossVH = append(snap.CrossVH, make([]uint16, 3*h))
+				snap.SelfKH = append(snap.SelfKH, make([]uint16, tc.rows*h))
+				snap.SelfVH = append(snap.SelfVH, make([]uint16, tc.rows*h))
+			} else {
+				snap.CrossK = append(snap.CrossK, make([]float32, 3*h))
+				snap.CrossV = append(snap.CrossV, make([]float32, 3*h))
+				snap.SelfK = append(snap.SelfK, make([]float32, tc.rows*h))
+				snap.SelfV = append(snap.SelfV, make([]float32, tc.rows*h))
+			}
+		}
+		j := newJob(99, JobGenerate, snap.Prompt, context.Background(), time.Time{})
+		j.snap = snap
+		d := &genDispatcher{engine: e}
+		lg, err := d.importSnap(99, j)
+		if err != nil {
+			t.Fatalf("fp16=%v: import after scavenge: %v", tc.fp16, err)
+		}
+		if st := e.Generator.PrefixStats(); st.KVEntries != entries-1 {
+			t.Fatalf("fp16=%v: %d-row import scavenged %d retired entries, want exactly 1",
+				tc.fp16, tc.rows, entries-st.KVEntries)
+		}
+		lg.sess.Close()
+		j.Cancel()
+		e.Close()
 	}
 }

@@ -239,6 +239,13 @@ func TestRouterPropertyNoLossNoDupStatsSum(t *testing.T) {
 				if rep.KVBytesPerToken > sum.KVBytesPerToken {
 					sum.KVBytesPerToken = rep.KVBytesPerToken
 				}
+				sum.KVBlocksTotal += rep.KVBlocksTotal
+				sum.KVBlocksUsed += rep.KVBlocksUsed
+				sum.KVBlocksShared += rep.KVBlocksShared
+				sum.PrefixHits += rep.PrefixHits
+				sum.PrefixMisses += rep.PrefixMisses
+				sum.ReplayTokens += rep.ReplayTokens
+				sum.GenPreemptions += rep.GenPreemptions
 			}
 			if t2 := sum.TokensProcessed + sum.TokensPadded; t2 > 0 {
 				sum.PaddingWaste = float64(sum.TokensPadded) / float64(t2)
@@ -372,14 +379,16 @@ func TestRouterScalePropertyNoLossUnderElasticity(t *testing.T) {
 	}
 
 	// Drain-then-retire: every removed replica left with its allocator
-	// gauges at exactly zero — nothing queued, nothing reserved, no KV
-	// bytes still on the device.
+	// gauges at exactly zero — nothing queued, nothing reserved, and, once
+	// its prefix cache releases the retired entries, no KV bytes still on
+	// the device.
 	for i, srv := range removed {
 		snap := srv.statsSnapshot()
+		mem := kvAfterClose(srv)
 		if snap.QueueDepth != 0 || snap.GenReservedTokens != 0 ||
-			snap.GenKVReservedBytes != 0 || snap.GenKVUsedBytes != 0 {
+			mem.KVReservedBytes != 0 || mem.KVUsedBytes != 0 {
 			t.Fatalf("removed replica %d not fully drained: depth=%d reserved=%d kvres=%d kvused=%d",
-				i, snap.QueueDepth, snap.GenReservedTokens, snap.GenKVReservedBytes, snap.GenKVUsedBytes)
+				i, snap.QueueDepth, snap.GenReservedTokens, mem.KVReservedBytes, mem.KVUsedBytes)
 		}
 	}
 

@@ -120,9 +120,6 @@ type ServerConfig struct {
 	GenEngine *core.GenEngine
 	// GenMaxBatch caps concurrent decode sequences (default: MaxBatch).
 	GenMaxBatch int
-	// GenTokenBudget caps the summed worst-case context length across
-	// running generations (KV-footprint guard; 0 = unlimited).
-	GenTokenBudget int
 	// GenDefaultMaxNew is the token budget used when a request does not
 	// set max_new_tokens (default 32).
 	GenDefaultMaxNew int
@@ -172,7 +169,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if genBatch < 1 {
 			genBatch = cfg.MaxBatch
 		}
-		s.gen = newGenDispatcher(s, cfg.GenEngine, genBatch, cfg.GenTokenBudget, cfg.GenDefaultMaxNew)
+		s.gen = newGenDispatcher(s, cfg.GenEngine, genBatch, cfg.GenDefaultMaxNew)
 		s.start(s.gen)
 	}
 	return s, nil
@@ -646,7 +643,7 @@ type statsResponse struct {
 	FusedLaunches   int64 `json:"fused_launches"`
 	KVBytesPerToken int64 `json:"kv_bytes_per_token"`
 
-	// Paged-KV accounting (zero unless the engine runs paged): block-pool
+	// Paged-KV accounting (zero without a generation path): block-pool
 	// occupancy, prefix-cache reuse, and preemptions — the shared-prefix
 	// admission-density win made visible. KVBlocksShared counts blocks
 	// mapped by two or more block tables at once.
@@ -784,17 +781,16 @@ func (s *Server) statsSnapshot() statsResponse {
 		mem := s.gen.engine.MemoryStats()
 		resp.GenKVReservedBytes = mem.KVReservedBytes
 		resp.GenKVUsedBytes = mem.KVUsedBytes
-		if gen := s.gen.engine.Generator; gen.Paged() {
-			ps := gen.BlockPool().Stats()
-			resp.KVBlocksTotal = int64(ps.CapBlocks)
-			resp.KVBlocksUsed = int64(ps.UsedBlocks)
-			resp.KVBlocksShared = int64(ps.SharedBlocks)
-			pf := gen.PrefixStats()
-			resp.PrefixHits = pf.Hits
-			resp.PrefixMisses = pf.Misses
-			resp.ReplayTokens = pf.ReplayToks
-			resp.GenPreemptions = s.gen.sched.Preemptions()
-		}
+		gen := s.gen.engine.Generator
+		ps := gen.BlockPool().Stats()
+		resp.KVBlocksTotal = int64(ps.CapBlocks)
+		resp.KVBlocksUsed = int64(ps.UsedBlocks)
+		resp.KVBlocksShared = int64(ps.SharedBlocks)
+		pf := gen.PrefixStats()
+		resp.PrefixHits = pf.Hits
+		resp.PrefixMisses = pf.Misses
+		resp.ReplayTokens = pf.ReplayToks
+		resp.GenPreemptions = s.gen.sched.Preemptions()
 	}
 	return resp
 }

@@ -42,7 +42,6 @@ type runtimeConfig struct {
 	// Generation.
 	genDecCfg        *Config
 	genMaxBatch      int
-	genTokenBudget   int
 	genDefaultMaxNew int
 }
 
@@ -84,11 +83,6 @@ func WithTensorCore() Option { return func(c *runtimeConfig) { c.engine.TensorCo
 // default.
 func WithFP16() Option { return func(c *runtimeConfig) { c.engine.FP16 = true } }
 
-// WithPerRowDecode makes the generation path decode through the per-row
-// reference attention instead of the grouped ragged kernels (bit-identical
-// oracle, for debugging and benchmarks).
-func WithPerRowDecode() Option { return func(c *runtimeConfig) { c.engine.PerRowDecode = true } }
-
 // WithGeneration enables the continuous-batching generation path with the
 // given decoder configuration (the /v1/generate endpoint on a served
 // runtime).
@@ -96,24 +90,20 @@ func WithGeneration(decCfg Config) Option {
 	return func(c *runtimeConfig) { c.genDecCfg = &decCfg }
 }
 
-// WithPagedKV pages the generation path's KV cache through a fixed-size
-// block pool (blocks = pool capacity; 0 derives a default from the decoder
-// geometry): admission gates on actual block consumption instead of
-// worst-case token reservations, pool pressure preempts the lowest-priority
-// running generation (losslessly — it is requeued and recomputed), and
-// retired generations are prefix-cached so identical prompts replay —
-// encoder pass skipped, tokens served from cache, block tables shared
-// copy-on-write. A NewRuntime option (it shapes the engine).
+// WithPagedKV sizes the generation path's KV block pool (blocks = pool
+// capacity; 0 derives a default from the decoder geometry). Generation KV
+// always pages through the pool: admission gates on actual block
+// consumption, pool pressure preempts the lowest-priority running
+// generation (losslessly — it is requeued and recomputed), and retired
+// generations are prefix-cached so identical prompts replay — encoder pass
+// skipped, tokens served from cache, block tables shared copy-on-write. A
+// NewRuntime option (it shapes the engine).
 func WithPagedKV(blocks int) Option {
-	return func(c *runtimeConfig) {
-		c.engine.PagedKV = true
-		c.engine.PagedKVBlocks = blocks
-	}
+	return func(c *runtimeConfig) { c.engine.PagedKVBlocks = blocks }
 }
 
-// WithPrefixCache caps how many retired generations the paged-KV prefix
-// cache keeps for prompt-identical reuse (default 64). Only meaningful with
-// WithPagedKV.
+// WithPrefixCache caps how many retired generations the prefix cache keeps
+// for prompt-identical reuse (default 64).
 func WithPrefixCache(entries int) Option {
 	return func(c *runtimeConfig) { c.engine.PrefixEntries = entries }
 }
@@ -121,10 +111,6 @@ func WithPrefixCache(entries int) Option {
 // WithGenMaxBatch caps concurrent decode sequences (default: the classify
 // max batch).
 func WithGenMaxBatch(n int) Option { return func(c *runtimeConfig) { c.genMaxBatch = n } }
-
-// WithGenTokenBudget caps the summed worst-case context length across
-// running generations — the KV-footprint admission guard (0 = unlimited).
-func WithGenTokenBudget(n int) Option { return func(c *runtimeConfig) { c.genTokenBudget = n } }
 
 // WithGenDefaultMaxNew sets the token budget used when a generation
 // request does not specify max_new_tokens (default 32).
@@ -378,7 +364,6 @@ func (rt *Runtime) Serve(opts ...Option) (Service, error) {
 		if genEngine != nil {
 			cfg.GenEngine = genEngine
 			cfg.GenMaxBatch = rc.genMaxBatch
-			cfg.GenTokenBudget = rc.genTokenBudget
 			cfg.GenDefaultMaxNew = rc.genDefaultMaxNew
 		}
 		return serving.NewServer(cfg)
