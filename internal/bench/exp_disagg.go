@@ -178,8 +178,10 @@ func measureDisagg(p disaggParams, roles []serving.ReplicaRole, fit *sched.Token
 		// reconcile with the per-replica in/out counters, and once the
 		// router is stopped and each engine's prefix cache and pool are
 		// closed, every replica's KV gauges must be back to zero — a
-		// migration that leaked a reservation on either side shows up here
-		// (a block still held panics the pool's Close).
+		// migration that leaked a reservation on either side shows up here.
+		// A pool block still held once the prefix cache is dropped is
+		// counted as leaked instead of closing the pool, whose Close would
+		// panic on it.
 		stats := router.Stats()
 		total.migrations += stats.KVMigrations
 		total.migratedBytes += stats.KVMigratedBytes
@@ -191,6 +193,12 @@ func measureDisagg(p disaggParams, roles []serving.ReplicaRole, fit *sched.Token
 		total.inOutDelta += in - out
 		router.Close()
 		for _, g := range engines {
+			g.Generator.ClosePrefix()
+			pool := g.Generator.BlockPool()
+			if held := pool.Stats().UsedBlocks; held != 0 {
+				total.leakBytes += int64(held) * pool.BlockBytes()
+				continue
+			}
 			g.Close()
 			snap := g.MemoryStats()
 			total.leakBytes += snap.KVReservedBytes + snap.KVUsedBytes

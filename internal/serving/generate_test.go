@@ -59,6 +59,25 @@ func genTestServer(t *testing.T, genMaxBatch, kvBlocks int) (*Server, *httptest.
 	return srv, ts
 }
 
+// dropRetired empties srv's prefix cache, so the next requests decode
+// instead of replaying a retired stream, and returns the cache's hit count
+// for noReplay. The server must be idle.
+func dropRetired(srv *Server) int64 {
+	g := srv.gen.engine.Generator
+	g.ClosePrefix()
+	return g.PrefixStats().Hits
+}
+
+// noReplay fails t if srv answered any request from its prefix cache since
+// dropRetired returned hits: a replayed stream would compare a result with
+// itself.
+func noReplay(t *testing.T, srv *Server, hits int64) {
+	t.Helper()
+	if n := srv.gen.engine.Generator.PrefixStats().Hits - hits; n != 0 {
+		t.Fatalf("%d requests replayed from the prefix cache instead of decoding", n)
+	}
+}
+
 func generate(t *testing.T, url, text string, maxNew int) generateResponse {
 	t.Helper()
 	body, _ := json.Marshal(generateRequest{Text: text, MaxNewTokens: maxNew})
@@ -78,7 +97,7 @@ func generate(t *testing.T, url, text string, maxNew int) generateResponse {
 }
 
 func TestGenerateEndToEnd(t *testing.T) {
-	_, ts := genTestServer(t, 8, 0)
+	srv, ts := genTestServer(t, 8, 0)
 	r := generate(t, ts.URL, "hello generation", 8)
 	if len(r.Tokens) == 0 || len(r.Tokens) > 8 {
 		t.Fatalf("generated %d tokens, want 1..8: %+v", len(r.Tokens), r)
@@ -87,10 +106,12 @@ func TestGenerateEndToEnd(t *testing.T) {
 		t.Fatalf("prompt tokens %d", r.PromptTokens)
 	}
 	// Deterministic greedy decode: same prompt, same stream.
+	hits := dropRetired(srv)
 	r2 := generate(t, ts.URL, "hello generation", 8)
 	if !reflect.DeepEqual(r.Tokens, r2.Tokens) {
 		t.Fatalf("same prompt produced %v then %v", r.Tokens, r2.Tokens)
 	}
+	noReplay(t, srv, hits)
 }
 
 // TestGenerateConcurrentMatchesSolo is the end-to-end continuous-batching
@@ -117,7 +138,7 @@ func TestGenerateConcurrentMatchesSolo(t *testing.T) {
 	for burst := 0; burst < 10; burst++ {
 		// Drop the retired streams so the burst decodes instead of
 		// replaying from the prefix cache (the server is idle here).
-		srv.gen.engine.Generator.ClosePrefix()
+		hits := dropRetired(srv)
 		results := make([][]int, len(prompts))
 		var wg sync.WaitGroup
 		for i, p := range prompts {
@@ -128,6 +149,7 @@ func TestGenerateConcurrentMatchesSolo(t *testing.T) {
 			}(i, p)
 		}
 		wg.Wait()
+		noReplay(t, srv, hits)
 		for i := range prompts {
 			if !reflect.DeepEqual(solo[i], results[i]) {
 				t.Fatalf("prompt %d: solo %v vs batched %v", i, solo[i], results[i])
@@ -163,6 +185,10 @@ func TestClassifyAndGenerateConcurrently(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	noReplay(t, srv, 0) // distinct prompts on a fresh server
+	// The solo references below decode: the concurrent run's streams are
+	// dropped, or each reference would replay the result it checks.
+	hits := dropRetired(srv)
 	for i := 0; i < n; i++ {
 		if classes[i] < 0 || classes[i] >= 3 {
 			t.Fatalf("bad class %d", classes[i])
@@ -178,6 +204,7 @@ func TestClassifyAndGenerateConcurrently(t *testing.T) {
 			t.Fatalf("request %d: concurrent tokens %v vs solo %v", i, gens[i], got)
 		}
 	}
+	noReplay(t, srv, hits)
 	if srv.served.Load() < n {
 		t.Fatalf("classifier served %d of %d", srv.served.Load(), n)
 	}
@@ -187,7 +214,7 @@ func TestClassifyAndGenerateConcurrently(t *testing.T) {
 }
 
 func TestGenerateStreaming(t *testing.T) {
-	_, ts := genTestServer(t, 4, 0)
+	srv, ts := genTestServer(t, 4, 0)
 	body, _ := json.Marshal(generateRequest{Text: "stream me", MaxNewTokens: 6, Stream: true})
 	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -213,8 +240,10 @@ func TestGenerateStreaming(t *testing.T) {
 	if !last.Done || last.Tokens != len(chunks)-1 {
 		t.Fatalf("bad terminal chunk %+v for %d token chunks", last, len(chunks)-1)
 	}
-	// The streamed tokens must match the aggregate reply.
+	// The streamed tokens must match the aggregate reply, decoded afresh.
+	hits := dropRetired(srv)
 	agg := generate(t, ts.URL, "stream me", 6)
+	noReplay(t, srv, hits)
 	for i, c := range chunks[:len(chunks)-1] {
 		if c.Token != agg.Tokens[i] {
 			t.Fatalf("stream token %d = %d, aggregate %d", i, c.Token, agg.Tokens[i])
@@ -227,7 +256,7 @@ func TestGenerateStreaming(t *testing.T) {
 // forces requests to take turns, but everyone still completes with the
 // right result.
 func TestGenerateTokenBudget(t *testing.T) {
-	_, ts := genTestServer(t, 8, 12)
+	srv, ts := genTestServer(t, 8, 12)
 	var wg sync.WaitGroup
 	results := make([][]int, 6)
 	for i := 0; i < 6; i++ {
@@ -238,6 +267,9 @@ func TestGenerateTokenBudget(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	noReplay(t, srv, 0) // distinct prompts on a fresh server
+	// The solo references decode rather than replay the run they check.
+	hits := dropRetired(srv)
 	for i, r := range results {
 		if len(r) == 0 {
 			t.Fatalf("request %d starved under the KV budget", i)
@@ -246,6 +278,7 @@ func TestGenerateTokenBudget(t *testing.T) {
 			t.Fatalf("request %d: budget run %v vs solo %v", i, r, got)
 		}
 	}
+	noReplay(t, srv, hits)
 }
 
 // TestGenerateClientDisconnectEvicts: a client that goes away mid-stream

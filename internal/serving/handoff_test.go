@@ -223,11 +223,10 @@ func TestHandoffStreamsBitIdenticalToOracle(t *testing.T) {
 		t.Fatalf("per-replica roles = %q, want prefill,decode", got)
 	}
 	// With the fleet stopped and each engine's prefix cache and pool closed
-	// (a leaked block panics the pool), every KV gauge must read zero.
+	// (a leaked block fails the test), every KV gauge must read zero.
 	router.Close()
 	for i, g := range engines {
-		g.Close()
-		snap := g.MemoryStats()
+		snap := closeGenEngine(t, g)
 		if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 			t.Fatalf("replica %d KV gauges not drained: reserved=%d used=%d", i, snap.KVReservedBytes, snap.KVUsedBytes)
 		}
@@ -376,11 +375,10 @@ func TestRouterShutdownDuringHandoff(t *testing.T) {
 	if stats.PrefillQueueDepth != 0 {
 		t.Fatalf("prefill_queue_depth = %d after shutdown, want 0", stats.PrefillQueueDepth)
 	}
-	// Each engine's prefix cache and pool closed (a leaked block panics the
-	// pool), every KV gauge must read zero.
+	// Each engine's prefix cache and pool closed (a leaked block fails the
+	// test), every KV gauge must read zero.
 	for i, g := range engines {
-		g.Close()
-		snap := g.MemoryStats()
+		snap := closeGenEngine(t, g)
 		if snap.KVReservedBytes != 0 || snap.KVUsedBytes != 0 {
 			t.Fatalf("replica %d KV gauges not drained after shutdown: reserved=%d used=%d",
 				i, snap.KVReservedBytes, snap.KVUsedBytes)

@@ -71,7 +71,10 @@ func TestMixedEnginesEndToEnd(t *testing.T) {
 		soloGen[i] = generate(t, ts.URL, text, 12).Tokens
 	}
 
-	// Concurrent mixed burst: every worker hits both endpoints.
+	// Concurrent mixed burst: every worker hits both endpoints. The
+	// references' retired streams are dropped first, so the burst decodes
+	// rather than replays them.
+	hits := dropRetired(srv)
 	classes := make([]int, n)
 	gens := make([][]int, n)
 	var wg sync.WaitGroup
@@ -84,6 +87,7 @@ func TestMixedEnginesEndToEnd(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	noReplay(t, srv, hits)
 	for i := range texts {
 		if classes[i] != soloClass[i] {
 			t.Fatalf("request %d: batched class %d vs solo %d", i, classes[i], soloClass[i])
@@ -126,7 +130,7 @@ func TestMixedEnginesEndToEnd(t *testing.T) {
 	if srv.gen.peakBatch.Load() < 1 {
 		t.Fatal("no decode batches observed")
 	}
-	if mem := kvAfterClose(srv); mem.KVReservedBytes != 0 || mem.KVUsedBytes != 0 {
+	if mem := kvAfterClose(t, srv); mem.KVReservedBytes != 0 || mem.KVUsedBytes != 0 {
 		t.Fatalf("KV gauges not drained: reserved=%d used=%d", mem.KVReservedBytes, mem.KVUsedBytes)
 	}
 }
@@ -212,7 +216,7 @@ func TestStatsReportKVReservation(t *testing.T) {
 	}
 	// The KV gauges drain once the prefix cache releases its retired
 	// entries.
-	if mem := kvAfterClose(srv); mem.KVReservedBytes != 0 || mem.KVUsedBytes != 0 {
+	if mem := kvAfterClose(t, srv); mem.KVReservedBytes != 0 || mem.KVUsedBytes != 0 {
 		t.Fatalf("KV not released after completion: reserved=%d used=%d", mem.KVReservedBytes, mem.KVUsedBytes)
 	}
 }

@@ -74,14 +74,27 @@ func pagedTestServer(t *testing.T, genMaxBatch, kvBlocks int) (*Server, *core.Ge
 	return srv, genEngine
 }
 
-// kvAfterClose stops srv, then closes its generation engine — the prefix
-// cache's retired entries, then the block pool, which panics on a leaked
-// block — and returns the engine's memory counters, whose KV gauges must
-// read zero once every session is gone.
-func kvAfterClose(srv *Server) allocator.Snapshot {
+// closeGenEngine closes g — the prefix cache's retired entries, then the
+// block pool — and returns its memory counters, whose KV gauges must read
+// zero once every session is gone. A pool block still held after the
+// prefix cache is dropped is a leak: it fails t rather than panicking the
+// pool's Close.
+func closeGenEngine(t *testing.T, g *core.GenEngine) allocator.Snapshot {
+	t.Helper()
+	g.Generator.ClosePrefix()
+	if n := g.Generator.BlockPool().Stats().UsedBlocks; n != 0 {
+		t.Fatalf("%d KV pool blocks leaked", n)
+	}
+	g.Close()
+	return g.MemoryStats()
+}
+
+// kvAfterClose stops srv, then closes its generation engine and returns
+// the engine's memory counters (see closeGenEngine).
+func kvAfterClose(t *testing.T, srv *Server) allocator.Snapshot {
+	t.Helper()
 	srv.Close()
-	srv.gen.engine.Close()
-	return srv.gen.engine.MemoryStats()
+	return closeGenEngine(t, srv.gen.engine)
 }
 
 // serveGen runs one generate request straight through the server's job
@@ -205,15 +218,14 @@ func TestPagedPreemptionLossless(t *testing.T) {
 	// 2 layers → 4 blocks per decode step worst case; a 64-token budget
 	// spans 2 blocks per layer per K/V = 8 blocks per session. 12 blocks
 	// admit both but cannot carry both to completion.
-	srv, genEngine := pagedTestServer(t, 2, 12)
+	srv, _ := pagedTestServer(t, 2, 12)
 	pa, pb := "alpha", "beta" // both decode the full 64 tokens under this seed
 	soloA := serveGen(t, srv, pa, 64)
 	soloB := serveGen(t, srv, pb, 64)
-	genEngine.Generator.ClosePrefix() // replays would defeat the squeeze
 	preempts := func() int64 { return srv.statsSnapshot().GenPreemptions }
 
 	for burst := 0; burst < 20 && preempts() == 0; burst++ {
-		genEngine.Generator.ClosePrefix()
+		hits := dropRetired(srv) // replays would defeat the squeeze
 		var wg sync.WaitGroup
 		got := make([][]int, 2)
 		for i, p := range []string{pa, pb} {
@@ -224,6 +236,7 @@ func TestPagedPreemptionLossless(t *testing.T) {
 			}(i, p)
 		}
 		wg.Wait()
+		noReplay(t, srv, hits)
 		if !reflect.DeepEqual(got[0], soloA) {
 			t.Fatalf("burst %d: alpha %v != solo %v", burst, got[0], soloA)
 		}

@@ -384,7 +384,7 @@ func TestRouterScalePropertyNoLossUnderElasticity(t *testing.T) {
 	// the device.
 	for i, srv := range removed {
 		snap := srv.statsSnapshot()
-		mem := kvAfterClose(srv)
+		mem := kvAfterClose(t, srv)
 		if snap.QueueDepth != 0 || snap.GenReservedTokens != 0 ||
 			mem.KVReservedBytes != 0 || mem.KVUsedBytes != 0 {
 			t.Fatalf("removed replica %d not fully drained: depth=%d reserved=%d kvres=%d kvused=%d",
